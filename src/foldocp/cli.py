@@ -190,20 +190,21 @@ def main(argv=None):
     except (harness.ParseError, harness.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (harness.GimbalLock, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (varint.NoConvergence, plant.NonFinite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (
         solver.SingularJacobian,
         solver.SingularBlock,
         liealg.OutOfChart,
         liealg.TooFarFromGroup,
     ) as exc:
+        # before the ValueError clause: both chart errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (harness.GimbalLock, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (varint.NoConvergence, plant.NonFinite) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

@@ -60,8 +60,6 @@ _SCENARIOS = ("stabilization", "tracking", "free_body")
 _BOUNDARY_MODES = ("fixed_endpoints", "free_terminal", "initial_costate")
 _REFERENCE_TYPES = ("constant", "yaw_ramp")
 
-_M_DEFAULT = 0.011 / 0.235**2
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -75,7 +73,7 @@ class ScenarioConfig:
     # plant
     Ic_kgm2: float = 0.012
     l_m: float = 0.235
-    m_kg: float = _M_DEFAULT
+    m_kg: float = plant._M_DEFAULT
     kappa1: float = 1.0
     kappa2: float = 1.0
     # weights
@@ -422,24 +420,18 @@ class RunReport:
         return bool(self.converged and all(self.guards.values()))
 
 
+def _adjacent_sup(per_interval):
+    # per-knot sup over the (one or two) intervals touching the knot
+    return np.maximum(
+        np.append(per_interval, per_interval[-1]),
+        np.insert(per_interval, 0, per_interval[0]),
+    )
+
+
 def _feasibility_column(model, act, traj):
     """Per-knot sup of the trapezoidal interval defects touching the knot."""
-    grid = traj.grid
-    n = grid.n
-    defect = np.empty(n)
-    for k in range(n):
-        a, b = traj.knots[k], traj.knots[k + 1]
-        p = varint.residual_phi123(
-            model, act, grid, a.Pi, b.Pi, a.u, b.u, a.tau, b.tau
-        )
-        q = varint.residual_phi4(model, grid, a.g, b.g, a.Pi, b.Pi, a.u, b.u)
-        defect[k] = max(np.abs(p).max(), np.abs(q).max())
-    out = np.empty(n + 1)
-    out[0] = defect[0]
-    out[-1] = defect[-1]
-    for k in range(1, n):
-        out[k] = max(defect[k - 1], defect[k])
-    return out
+    r123, r4 = varint.constraint_residuals(model, act, traj)
+    return _adjacent_sup(np.abs(np.hstack([r123, r4])).max(axis=1))
 
 
 def _kkt_column(prob, traj):
@@ -448,24 +440,13 @@ def _kkt_column(prob, traj):
     out = varint.kkt_residuals_exact(
         prob.w, prob.ref, prob.model, prob.act, traj
     )
-    n = traj.grid.n
-    col = np.empty(n + 1)
-    for k in range(n + 1):
-        parts = [np.abs(out["d_tau"][k]).max()]
-        if 0 < k < n:
-            parts += [
-                np.abs(out["d_g"][k]).max(),
-                np.abs(out["d_Pi"][k]).max(),
-                abs(out["d_u"][k]),
-            ]
-        for j in (k - 1, k):
-            if 0 <= j < n:
-                parts += [
-                    np.abs(out["phi123"][j]).max(),
-                    np.abs(out["phi4"][j]).max(),
-                ]
-        col[k] = max(parts)
-    return col
+    col = np.abs(out["d_tau"]).max(axis=1)
+    state = np.abs(
+        np.hstack([out["d_g"], out["d_Pi"], out["d_u"][:, None]])
+    ).max(axis=1)
+    col[1:-1] = np.maximum(col[1:-1], state[1:-1])
+    feasibility = np.abs(np.hstack([out["phi123"], out["phi4"]])).max(axis=1)
+    return np.maximum(col, _adjacent_sup(feasibility))
 
 
 def _records_from_trajectory(config, ref, traj, kkt_col):
@@ -495,31 +476,10 @@ def _records_from_trajectory(config, ref, traj, kkt_col):
     return records, frob
 
 
-def _free_body_trajectory(config, model):
-    g = compose_euler(config.roll0_rad, config.pitch0_rad, config.yaw0_rad)
-    Pi = np.array(config.Pi0_kgm2rads)
-    inertia = plant.inertia_diag(model, config.u0_rad)
-    knots = [varint.DiscreteKnot(g=g, Pi=Pi, u=config.u0_rad, tau=np.zeros(4))]
-    for k in range(config.N):
-        g, Pi = varint.free_dlp_step(inertia, config.h_s, g, Pi)
-        if (k + 1) % liealg.REORTH_INTERVAL == 0:
-            g = liealg.orthonormalize(g)
-        knots.append(
-            varint.DiscreteKnot(g=g, Pi=Pi, u=config.u0_rad, tau=np.zeros(4))
-        )
-    mults = [
-        varint.Multipliers(np.zeros(3), np.zeros(3)) for _ in range(config.N)
-    ]
-    return varint.DiscreteTrajectory(
-        varint.GridSpec(h=config.h_s, n=config.N), knots, mults
-    )
-
-
 def _guards(config, traj, ortho_tol=1e-8):
     u = traj.u_stack()
-    ortho = max(
-        np.abs(k.g.T @ k.g - np.eye(3)).max() for k in traj.knots
-    )
+    g = traj.g_stack()
+    ortho = np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(3)).max()
     return {
         "u_box": bool(
             (u >= config.u_min_rad - 1e-12).all()
@@ -527,10 +487,7 @@ def _guards(config, traj, ortho_tol=1e-8):
         ),
         "rotations": bool(ortho < ortho_tol),
         "finite": bool(
-            all(
-                np.isfinite(k.Pi).all() and np.isfinite(k.tau).all()
-                for k in traj.knots
-            )
+            np.isfinite(traj.Pi_stack()).all() and np.isfinite(traj.tau_stack()).all()
         ),
     }
 
@@ -544,21 +501,10 @@ def run_scenario(config):
     continuation_stages warm starts.
     """
     _check(config)
+    if config.scenario == "free_body":
+        return replace(simulate(config, "dlp"), solver_report=None)
     w, model, act = build_models(config)
     ref = build_reference(config)
-    if config.scenario == "free_body":
-        traj = _free_body_trajectory(config, model)
-        kkt_col = _feasibility_column(model, act, traj)
-        records, frob = _records_from_trajectory(config, ref, traj, kkt_col)
-        return RunReport(
-            config=config,
-            records=records,
-            frob_err=frob,
-            traj=traj,
-            solver_report=None,
-            converged=True,
-            guards=_guards(config, traj),
-        )
     prob = solver.Problem(w, ref, model, act, varint.GridSpec(config.h_s, config.N))
     bc = build_boundary(config, ref)
     traj, report = solver.continuation_solve(
@@ -584,27 +530,23 @@ def simulate(config, mode="dlp"):
     _check(config)
     w, model, act = build_models(config)
     ref = build_reference(config)
+    g0 = compose_euler(config.roll0_rad, config.pitch0_rad, config.yaw0_rad)
+    Pi0 = np.array(config.Pi0_kgm2rads)
+    n = config.N
     if mode == "dlp":
-        traj = _free_body_trajectory(config, model)
-    else:
-        state0 = plant.PlantState(
-            g=compose_euler(config.roll0_rad, config.pitch0_rad, config.yaw0_rad),
-            Pi=np.array(config.Pi0_kgm2rads),
+        gs, ps = varint._free_dlp_history(
+            plant.inertia_diag(model, config.u0_rad), g0, Pi0, config.h_s, n
         )
+    else:
         locked = plant.ControlInput(u=config.u0_rad, u_dot=0.0, tau=np.zeros(4))
         _, gs, ps = plant.integrate(
-            model, act, state0, lambda t: locked, 0.0, config.h_s, config.N
+            model, act, plant.PlantState(g=g0, Pi=Pi0), lambda t: locked,
+            0.0, config.h_s, n,
         )
-        knots = [
-            varint.DiscreteKnot(g=gs[k], Pi=ps[k], u=config.u0_rad, tau=np.zeros(4))
-            for k in range(config.N + 1)
-        ]
-        mults = [
-            varint.Multipliers(np.zeros(3), np.zeros(3)) for _ in range(config.N)
-        ]
-        traj = varint.DiscreteTrajectory(
-            varint.GridSpec(config.h_s, config.N), knots, mults
-        )
+    traj = varint.trajectory_from_arrays(
+        varint.GridSpec(config.h_s, n), gs, ps, np.full(n + 1, config.u0_rad),
+        np.zeros((n + 1, 4)), np.zeros((n, 3)), np.zeros((n, 3)),
+    )
     kkt_col = _feasibility_column(model, act, traj)
     records, frob = _records_from_trajectory(config, ref, traj, kkt_col)
     # rk4 lives in the embedding and drifts off the group at O(h^5) per step

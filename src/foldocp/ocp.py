@@ -65,23 +65,6 @@ def constant_reference(g_d=None, Pi_d=None):
 
 
 @dataclass(frozen=True)
-class CostateState:
-    p_Pi: np.ndarray
-    p_xi: np.ndarray
-    p_u: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_Pi", np.asarray(self.p_Pi, dtype=float))
-        object.__setattr__(self, "p_xi", np.asarray(self.p_xi, dtype=float))
-        if not (
-            np.isfinite(self.p_Pi).all()
-            and np.isfinite(self.p_xi).all()
-            and np.isfinite(self.p_u)
-        ):
-            raise ValueError("costates must be finite")
-
-
-@dataclass(frozen=True)
 class OCPState:
     """One point of the two-point boundary-value system (p_u carried as -c1*u_dot)."""
 
@@ -107,36 +90,43 @@ class OCPState:
 
 
 def attitude_error(g, g_d):
-    """Matrix error g_d^-1 g - g^-1 g_d; skew, vanishes iff g = g_d."""
+    """Matrix error g_d^-1 g - g^-1 g_d; skew, vanishes iff g = g_d.
+    Broadcasts over leading axes."""
     g = np.asarray(g, dtype=float)
     g_d = np.asarray(g_d, dtype=float)
-    return g_d.T @ g - g.T @ g_d
+    return np.swapaxes(g_d, -1, -2) @ g - np.swapaxes(g, -1, -2) @ g_d
 
 
 def attitude_cost(g, g_d):
-    """Half the squared Frobenius norm of the attitude error."""
+    """Half the squared Frobenius norm of the attitude error; broadcasts."""
     e = attitude_error(g, g_d)
-    return 0.5 * float((e * e).sum())
+    return 0.5 * (e * e).sum(axis=(-1, -2))
 
 
 def attitude_cost_gradient(g, g_d):
     """Body-frame gradient of attitude_cost: along g(s) = g retract(s eta),
-    d/ds attitude_cost = <gradient, eta> at s = 0."""
-    m = np.asarray(g_d, dtype=float).T @ np.asarray(g, dtype=float)
+    d/ds attitude_cost = <gradient, eta> at s = 0. Broadcasts."""
+    m = np.swapaxes(np.asarray(g_d, dtype=float), -1, -2) @ np.asarray(g, dtype=float)
     n = m @ m
-    return 2.0 * liealg.vee(n - n.T)
+    return 2.0 * liealg.vee(n - np.swapaxes(n, -1, -2), tol=None)
+
+
+def _stage_cost(w, g, g_d, Pi, Pi_d, u_dot, tau):
+    # running_cost against already sampled reference values; broadcasts over
+    # knots so the discrete cost shares this formula
+    tau = np.asarray(tau, dtype=float)
+    d_Pi = np.asarray(Pi, dtype=float) - np.asarray(Pi_d, dtype=float)
+    return (
+        0.5 * w.c1 * u_dot**2
+        + 0.5 * w.c2 * (tau * tau).sum(axis=-1)
+        + w.c3 * attitude_cost(g, g_d)
+        + 0.5 * w.c4 * (d_Pi * d_Pi).sum(axis=-1)
+    )
 
 
 def running_cost(w, ref, t, g, Pi, u, u_dot, tau):
     """Instantaneous cost: (c1 u_dot^2 + c2 |tau|^2 + c3 |E|^2 + c4 |Pi - Pi_d|^2)/2."""
-    tau = np.asarray(tau, dtype=float)
-    d_Pi = np.asarray(Pi, dtype=float) - np.asarray(ref.Pi_d(t), dtype=float)
-    return float(
-        0.5 * w.c1 * u_dot**2
-        + 0.5 * w.c2 * (tau * tau).sum()
-        + w.c3 * attitude_cost(g, ref.g_d(t))
-        + 0.5 * w.c4 * (d_Pi * d_Pi).sum()
-    )
+    return float(_stage_cost(w, g, ref.g_d(t), Pi, ref.Pi_d(t), u_dot, tau))
 
 
 def tau_star(w, act, p_Pi, u):

@@ -1,15 +1,16 @@
 """Newton and marching solvers for the discrete stationarity system.
 
 Unknowns live in a knot-major flat vector (per knot: attitude chart increment,
-momentum, fold angle, rotor commands; per interval: the two multipliers); the
-attitude block is re-centered every Newton iterate so increments stay small.
-The Jacobian is central finite differences evaluated in structurally
-independent column groups and factored sparse; a dense single-column sweep is
-kept as the correctness reference.
+momentum, fold angle, rotor commands; per interval: the two multipliers)
+paired with an (n+1, 3, 3) stack of base attitudes. Residuals, Jacobian
+sweeps and line searches work on that pair directly through varint's stacked
+kernel; trajectory objects are built only for callers (pack/unpack and the
+returned solutions). The attitude block is re-centered every Newton iterate
+so increments stay small. The Jacobian is central finite differences
+evaluated in structurally independent column groups and factored sparse; a
+dense single-column sweep is kept as the correctness reference.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -44,7 +45,6 @@ class SolverConfig:
     armijo_c: float = 1e-4
     backtrack: float = 0.5
     min_step: float = 1e-8
-    mode: str = "full_newton"
 
     def __post_init__(self):
         for name in ("tol_residual", "tol_step", "fd_epsilon", "min_step"):
@@ -58,8 +58,6 @@ class SolverConfig:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.backtrack < 1.0:
             raise ValueError("backtrack must lie in (0, 1)")
-        if self.mode not in ("full_newton", "marching", "shooting"):
-            raise ValueError(f"unknown solver mode {self.mode!r}")
 
 
 _BC_FIELDS = {
@@ -151,20 +149,44 @@ def _total_size(n):
     return _PAIR_WIDTH * n + _KNOT_WIDTH
 
 
+def _rows(v, n):
+    """Copy of a packed vector as (n+1, _PAIR_WIDTH) knot-major rows; the
+    last row's multiplier slots are zero padding."""
+    rows = np.zeros((n + 1) * _PAIR_WIDTH)
+    rows[:_total_size(n)] = v
+    return rows.reshape(n + 1, _PAIR_WIDTH)
+
+
+def _attitudes(g, delta, method="cay"):
+    """g_k retract(delta_k) for every knot; OutOfChart names the first knot
+    whose increment reaches the chart radius."""
+    norms = np.sqrt((delta * delta).sum(axis=1))
+    outside = np.flatnonzero(norms >= CHART_RADIUS)
+    if outside.size:
+        k = outside[0]
+        raise liealg.OutOfChart(
+            f"attitude increment {norms[k]:.3f} at knot {k} leaves the chart"
+        )
+    return g @ liealg.retract(delta, method)
+
+
+def _trajectory(grid, g, rows):
+    return varint.trajectory_from_arrays(
+        grid, g, rows[:, 3:6], rows[:, 6], rows[:, 7:11],
+        rows[:-1, 11:14], rows[:-1, 14:17],
+    )
+
+
 def pack(traj):
     """Flatten a trajectory; attitude slots hold zero chart increments."""
     n = traj.grid.n
-    v = np.zeros(_total_size(n))
-    for k, knot in enumerate(traj.knots):
-        b = _PAIR_WIDTH * k
-        v[b + 3:b + 6] = knot.Pi
-        v[b + 6] = knot.u
-        v[b + 7:b + 11] = knot.tau
-    for k, m in enumerate(traj.multipliers):
-        b = _PAIR_WIDTH * k + _KNOT_WIDTH
-        v[b:b + 3] = m.lam
-        v[b + 3:b + 6] = m.mu
-    return v
+    rows = np.zeros((n + 1, _PAIR_WIDTH))
+    rows[:, 3:6] = traj.Pi_stack()
+    rows[:, 6] = traj.u_stack()
+    rows[:, 7:11] = traj.tau_stack()
+    rows[:-1, 11:14] = traj.lam_stack()
+    rows[:-1, 14:17] = traj.mu_stack()
+    return rows.ravel()[:_total_size(n)]
 
 
 def unpack(base_traj, v, method="cay"):
@@ -177,28 +199,9 @@ def unpack(base_traj, v, method="cay"):
     v = np.asarray(v, dtype=float)
     if v.shape != (_total_size(n),):
         raise ValueError(f"expected a flat vector of length {_total_size(n)}")
-    knots = []
-    for k, knot in enumerate(base_traj.knots):
-        b = _PAIR_WIDTH * k
-        delta = v[b:b + 3]
-        if np.linalg.norm(delta) >= CHART_RADIUS:
-            raise liealg.OutOfChart(
-                f"attitude increment {np.linalg.norm(delta):.3f} at knot {k} "
-                "leaves the chart"
-            )
-        knots.append(
-            varint.DiscreteKnot(
-                g=knot.g @ liealg.retract(delta, method),
-                Pi=v[b + 3:b + 6],
-                u=float(v[b + 6]),
-                tau=v[b + 7:b + 11],
-            )
-        )
-    mults = []
-    for k in range(n):
-        b = _PAIR_WIDTH * k + _KNOT_WIDTH
-        mults.append(varint.Multipliers(lam=v[b:b + 3], mu=v[b + 3:b + 6]))
-    return varint.DiscreteTrajectory(base_traj.grid, knots, mults)
+    rows = _rows(v, n)
+    g = _attitudes(base_traj.g_stack(), rows[:, :3], method)
+    return _trajectory(base_traj.grid, g, rows)
 
 
 def _masks(grid, bc):
@@ -222,28 +225,32 @@ def _masks(grid, bc):
     return rows, cols
 
 
-def _full_residual(prob, traj, bc, method="cay", ref_table=None):
-    out = varint.kkt_residuals_exact(
-        prob.w, prob.ref, prob.model, prob.act, traj, method,
-        ref_table=ref_table,
+def _full_residual(prob, g, v, bc=None, method="cay", ref_table=None):
+    """Stationarity and feasibility rows, packed like the unknowns, at the
+    knots g_k retract(delta_k) described by (g, v). The number of intervals
+    is read from g, so windows shorter than prob.grid work too."""
+    n = g.shape[0] - 1
+    h = prob.grid.h
+    rows = _rows(v, n)
+    if ref_table is None:
+        ref_table = varint.reference_table(prob.ref, prob.grid)
+    out = varint._kernel(
+        prob.model, prob.act, h, _attitudes(g, rows[:, :3], method),
+        rows[:, 3:6], rows[:, 6], rows[:, 7:11], method,
+        prob.w, rows[:-1, 11:14], rows[:-1, 14:17], ref_table,
     )
-    n = prob.grid.n
-    r = np.empty(_total_size(n))
-    for k in range(n + 1):
-        b = _PAIR_WIDTH * k
-        r[b:b + 3] = out["d_g"][k]
-        r[b + 3:b + 6] = out["d_Pi"][k]
-        r[b + 6] = out["d_u"][k]
-        r[b + 7:b + 11] = out["d_tau"][k]
-    for k in range(n):
-        b = _PAIR_WIDTH * k + _KNOT_WIDTH
-        r[b:b + 3] = out["phi123"][k]
-        r[b + 3:b + 6] = out["phi4"][k]
-    if bc.mode == "initial_costate":
-        h = prob.grid.h
-        r[0:3] = traj.multipliers[0].mu - bc.p_xi0
-        r[3:6] = traj.multipliers[0].lam - h * bc.p_Pi0
-        r[6] = (traj.knots[1].u - traj.knots[0].u) / h - bc.u_dot0
+    r = np.zeros((n + 1, _PAIR_WIDTH))
+    r[:, 0:3] = out["d_g"]
+    r[:, 3:6] = out["d_Pi"]
+    r[:, 6] = out["d_u"]
+    r[:, 7:11] = out["d_tau"]
+    r[:-1, 11:14] = out["phi123"]
+    r[:-1, 14:17] = out["phi4"]
+    r = r.ravel()[:_total_size(n)]
+    if bc is not None and bc.mode == "initial_costate":
+        r[0:3] = rows[0, 14:17] - bc.p_xi0
+        r[3:6] = rows[0, 11:14] - h * bc.p_Pi0
+        r[6] = (rows[1, 6] - rows[0, 6]) / h - bc.u_dot0
     return r
 
 
@@ -251,7 +258,7 @@ def assemble_residual(prob, traj, bc, method="cay"):
     """Square residual under the boundary closure; zero iff the discrete
     necessary conditions hold."""
     rows, _ = _masks(prob.grid, bc)
-    return _full_residual(prob, traj, bc, method)[rows]
+    return _full_residual(prob, traj.g_stack(), pack(traj), bc, method)[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +302,17 @@ def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
                 ref_table=None):
     """Central-difference Jacobian of the square residual at base.
 
-    Columns are perturbed in structurally independent groups (knots three
-    apart, intervals two apart, one coordinate slot at a time), so a full
-    Jacobian costs 90 residual sweeps regardless of the grid size. The
-    number of concurrent column workers is capped by FOLDOCP_THREADS
-    (default 1). colored=False evaluates one column at a time and returns a
-    dense array -- the reference path.
+    base is the pair (g, v): the (n+1, 3, 3) attitude stack and a packed
+    vector whose attitude slots hold chart increments around g, e.g.
+    (traj.g_stack(), pack(traj)). Columns are perturbed in structurally
+    independent groups (knots three apart, intervals two apart, one
+    coordinate slot at a time), so a full Jacobian costs 90 residual sweeps
+    regardless of the grid size.
+    colored=False evaluates one column at a time and returns a dense array
+    -- the reference path.
     """
     cfg = cfg or SolverConfig()
+    g, v = base
     n = prob.grid.n
     rows_mask, cols_mask = _masks(prob.grid, bc)
     m = int(rows_mask.sum())
@@ -310,17 +320,15 @@ def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
     row_pos[rows_mask] = np.arange(m)
     free_cols = np.flatnonzero(cols_mask)
     col_pos = {int(j): i for i, j in enumerate(free_cols)}
-    v0 = pack(base)
-    eps = cfg.fd_epsilon * (1.0 + np.abs(v0))
+    eps = cfg.fd_epsilon * (1.0 + np.abs(v))
 
     def column_diff(cols):
-        vp = v0.copy()
-        vm = v0.copy()
-        for j in cols:
-            vp[j] += eps[j]
-            vm[j] -= eps[j]
-        rp = _full_residual(prob, unpack(base, vp, method), bc, method, ref_table)
-        rm = _full_residual(prob, unpack(base, vm, method), bc, method, ref_table)
+        vp = v.copy()
+        vm = v.copy()
+        vp[cols] += eps[cols]
+        vm[cols] -= eps[cols]
+        rp = _full_residual(prob, g, vp, bc, method, ref_table)
+        rm = _full_residual(prob, g, vm, bc, method, ref_table)
         return rp - rm
 
     if not colored:
@@ -336,29 +344,17 @@ def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
         stride = 3 if kind == "knot" else 2
         groups.setdefault((kind, k % stride, slot), []).append(int(j))
 
-    def eval_group(cols):
+    rows_idx, cols_idx, data = [], [], []
+    for cols in groups.values():
         d = column_diff(cols)
-        entries = []
         for j in cols:
             scale = 2.0 * eps[j]
             for r_full in _pattern_rows(n, j):
                 r_red = row_pos[r_full]
                 if r_red >= 0:
-                    entries.append((r_red, col_pos[j], d[r_full] / scale))
-        return entries
-
-    workers = int(os.environ.get("FOLDOCP_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_group = list(pool.map(eval_group, groups.values()))
-    else:
-        per_group = [eval_group(cols) for cols in groups.values()]
-    rows_idx, cols_idx, data = [], [], []
-    for entries in per_group:
-        for r, c, value in entries:
-            rows_idx.append(r)
-            cols_idx.append(c)
-            data.append(value)
+                    rows_idx.append(r_red)
+                    cols_idx.append(col_pos[j])
+                    data.append(d[r_full] / scale)
     return coo_matrix((data, (rows_idx, cols_idx)), shape=(m, m)).tocsc()
 
 
@@ -382,17 +378,20 @@ def _condition_estimate(matrix, lu):
 
 
 def _project_bc(traj, bc, grid):
-    # overwrite the pinned endpoint fields so the masked system never has to
-    # move them
-    knots = list(traj.knots)
-
-    def replace(k, g, Pi, u):
-        knots[k] = varint.DiscreteKnot(g=g, Pi=Pi, u=u, tau=knots[k].tau)
-
-    replace(0, bc.g0, bc.Pi0, bc.u0)
+    # (attitude stack, packed vector) of traj with the pinned endpoint fields
+    # overwritten, so the masked system never has to move them
+    g = traj.g_stack()
+    v = pack(traj)
+    g[0] = bc.g0
+    v[3:6] = bc.Pi0
+    v[6] = bc.u0
     if bc.mode == "fixed_endpoints":
-        replace(grid.n, bc.gN, bc.PiN, bc.uN)
-    return varint.DiscreteTrajectory(grid, knots, traj.multipliers)
+        n = grid.n
+        b = _PAIR_WIDTH * n
+        g[n] = bc.gN
+        v[b + 3:b + 6] = bc.PiN
+        v[b + 6] = bc.uN
+    return g, v
 
 
 def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
@@ -410,10 +409,11 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
         raise SingularJacobian(
             "c1 = 0 zeroes the fold-coupling block c1/h; the system is singular"
         )
+    n = prob.grid.n
     rows_mask, cols_mask = _masks(prob.grid, bc)
     table = varint.reference_table(prob.ref, prob.grid)
-    base = _project_bc(traj0, bc, prob.grid)
-    r = _full_residual(prob, base, bc, method, table)[rows_mask]
+    g, v = _project_bc(traj0, bc, prob.grid)
+    r = _full_residual(prob, g, v, bc, method, table)[rows_mask]
     residuals = [float(np.abs(r).max())]
     step_norms = []
     condition = float("nan")
@@ -423,7 +423,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
             raise varint.NoConvergence(
                 f"residual {residuals[-1]:.3e} after {cfg.max_iter} iterations"
             )
-        jac = jacobian_fd(prob, base, bc, cfg, method, ref_table=table)
+        jac = jacobian_fd(prob, (g, v), bc, cfg, method, ref_table=table)
         try:
             lu = splu(jac)
         except RuntimeError as exc:
@@ -432,15 +432,14 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
         if not np.isfinite(direction).all():
             raise SingularJacobian("Newton direction is not finite")
         condition = _condition_estimate(jac, lu)
-        v0 = pack(base)
-        dv = np.zeros(v0.size)
+        dv = np.zeros(v.size)
         dv[cols_mask] = direction
         merit0 = 0.5 * float(r @ r)
         t = 1.0
         while True:
+            trial = v + t * dv
             try:
-                trial = unpack(base, v0 + t * dv, method)
-                r_t = _full_residual(prob, trial, bc, method, table)[rows_mask]
+                r_t = _full_residual(prob, g, trial, bc, method, table)[rows_mask]
                 if 0.5 * float(r_t @ r_t) <= merit0 * (
                     1.0 - 2.0 * cfg.armijo_c * t
                 ):
@@ -450,7 +449,11 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
             t *= cfg.backtrack
             if t < cfg.min_step:
                 raise varint.NoConvergence("line search stalled below min step")
-        base = trial
+        # re-center: fold the accepted increments into the attitude stack
+        rows = _rows(trial, n)
+        g = _attitudes(g, rows[:, :3], method)
+        rows[:, :3] = 0.0
+        v = rows.ravel()[:v.size]
         r = r_t
         residuals.append(float(np.abs(r).max()))
         step_norms.append(float(np.abs(t * direction).max()))
@@ -467,7 +470,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
         "condition": condition,
         "unknowns": int(cols_mask.sum()),
     }
-    return base, report
+    return _trajectory(prob.grid, g, _rows(v, n)), report
 
 
 def initial_guess(bc, ref, grid):
@@ -487,28 +490,14 @@ def initial_guess(bc, ref, grid):
         Pi_a = bc.Pi0
         Pi_b = np.asarray(ref.Pi_d(grid.t_final), dtype=float)
         u_a = u_b = bc.u0
-    x = liealg.retract_inv(g_a.T @ g_b)
-    knots = []
-    for k in range(n + 1):
-        s = k / n
-        if k == 0:
-            g = g_a
-        elif k == n:
-            g = g_b
-        else:
-            g = g_a @ liealg.retract(s * x)
-        knots.append(
-            varint.DiscreteKnot(
-                g=g,
-                Pi=(1.0 - s) * Pi_a + s * Pi_b,
-                u=(1.0 - s) * u_a + s * u_b,
-                tau=np.zeros(4),
-            )
-        )
-    mults = [
-        varint.Multipliers(lam=np.zeros(3), mu=np.zeros(3)) for _ in range(n)
-    ]
-    return varint.DiscreteTrajectory(grid, knots, mults)
+    s = np.arange(n + 1) / n
+    g = g_a @ liealg.retract(s[:, None] * liealg.retract_inv(g_a.T @ g_b))
+    g[0], g[n] = g_a, g_b
+    return varint.trajectory_from_arrays(
+        grid, g, (1.0 - s)[:, None] * Pi_a + s[:, None] * Pi_b,
+        (1.0 - s) * u_a + s * u_b, np.zeros((n + 1, 4)),
+        np.zeros((n, 3)), np.zeros((n, 3)),
+    )
 
 
 def _blend_bc(bc, s, g_ref, Pi_ref, method):
@@ -627,9 +616,8 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
     trade raises SingularBlock.
     """
     cfg = cfg or SolverConfig()
-    w, model, act, ref = prob.w, prob.model, prob.act, prob.ref
     h = prob.grid.h
-    if w.c1 == 0.0:
+    if prob.w.c1 == 0.0:
         raise SingularBlock(
             "c1 = 0 zeroes the fold-coupling block; the interface map is singular"
         )
@@ -641,68 +629,56 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
     a, b = block.knot_a, block.knot_b
     closes = block.k + width + 1 == prob.grid.n
     t0 = block.k * h
-    grid_w = varint.GridSpec(h=h, n=width + 1)
-    table = varint.reference_table(ref, grid_w, t0)
+    table = varint.reference_table(prob.ref, varint.GridSpec(h=h, n=width + 1), t0)
 
     x_step = liealg.retract_inv(a.g.T @ b.g, method)
-    base_g = [b.g]
+    base_g = [a.g, b.g]
     for _ in range(width):
         base_g.append(base_g[-1] @ liealg.retract(x_step, method))
+    base_g = np.stack(base_g)
 
-    def split(z):
-        mults = [varint.Multipliers(block.lam, block.mu)]
-        for j in range(width):
-            s = 6 * j
-            mults.append(varint.Multipliers(z[s : s + 3], z[s + 3 : s + 6]))
-        knots = [a, b]
-        for j in range(width):
-            s = 6 * width + 11 * j
-            knots.append(
-                varint.DiscreteKnot(
-                    g=base_g[j + 1] @ liealg.retract(z[s : s + 3], method),
-                    Pi=z[s + 3 : s + 6],
-                    u=float(z[s + 6]),
-                    tau=z[s + 7 : s + 11],
-                )
-            )
-        return knots, mults
+    # The window's packed vector is head + z: knots a, b and the interval-0
+    # multipliers are fixed, and the unknowns z follow in the same
+    # knot-major order, one row (lam_j, mu_j, knot j+1) per interval ahead.
+    head = np.concatenate(
+        [np.zeros(3), a.Pi, [a.u], a.tau, block.lam, block.mu,
+         np.zeros(3), b.Pi, [b.u], b.tau]
+    )
+    ahead = slice(_PAIR_WIDTH, _PAIR_WIDTH * (width + 1))
+    last_tau = _PAIR_WIDTH * (width + 1) + 7
 
     def residual(z):
-        knots, mults = split(z)
-        traj = varint.DiscreteTrajectory(grid_w, knots, mults)
-        out = varint.kkt_residuals_exact(w, ref, model, act, traj, method, t0, table)
-        rows = []
-        for j in range(1, width + 1):
-            rows += [out["d_g"][j], out["d_Pi"][j], [out["d_u"][j]], out["d_tau"][j]]
-        rows += [out["phi123"][j] for j in range(1, width + 1)]
-        rows += [out["phi4"][j] for j in range(1, width + 1)]
-        rows.append([knots[j].tau.sum() for j in range(2, width + 2)])
+        r = _full_residual(prob, base_g, np.concatenate([head, z]), None, method, table)
+        parts = [r[ahead], z.reshape(width, _PAIR_WIDTH)[:, 13:17].sum(axis=1)]
         if closes:
-            rows.append(out["d_tau"][width + 1])
-        return np.concatenate(rows)
+            parts.append(r[last_tau:last_tau + 4])
+        return np.concatenate(parts)
 
-    z = np.zeros(17 * width)
-    d_Pi, d_u = b.Pi - a.Pi, b.u - a.u
-    for j in range(width):
-        z[6 * j : 6 * j + 3] = block.lam
-        z[6 * j + 3 : 6 * j + 6] = block.mu
-        s = 6 * width + 11 * j
-        z[s + 3 : s + 6] = b.Pi + (j + 1) * d_Pi
-        z[s + 6] = b.u + (j + 1) * d_u
-        z[s + 7 : s + 11] = b.tau
+    steps = np.arange(1, width + 1)[:, None]
+    z = np.zeros((width, _PAIR_WIDTH))
+    z[:, 0:3] = block.lam
+    z[:, 3:6] = block.mu
+    z[:, 9:12] = b.Pi + steps * (b.Pi - a.Pi)
+    z[:, 12] = b.u + steps[:, 0] * (b.u - a.u)
+    z[:, 13:17] = b.tau
+    z = z.ravel()
     tol = min(cfg.tol_residual, 1e-11)
     r = residual(z)
     for _ in range(cfg.max_iter):
         if np.abs(r).max() <= tol:
             break
         jac = np.empty((r.size, z.size))
-        for j in range(z.size):
-            e = cfg.fd_epsilon * (1.0 + abs(z[j]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[j] += e
-            zm[j] -= e
-            jac[:, j] = (residual(zp) - residual(zm)) / (2.0 * e)
+        try:
+            for j in range(z.size):
+                e = cfg.fd_epsilon * (1.0 + abs(z[j]))
+                zp = z.copy()
+                zm = z.copy()
+                zp[j] += e
+                zm[j] -= e
+                jac[:, j] = (residual(zp) - residual(zm)) / (2.0 * e)
+        except liealg.OutOfChart as exc:
+            # a drifting recursion walks the attitude to the chart edge
+            raise varint.NoConvergence(f"interface iterate left the chart: {exc}")
         dz, _, rank, _ = np.linalg.lstsq(
             jac, -r, rcond=None if width == 1 else 1e-8
         )
@@ -714,9 +690,12 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
         merit0 = 0.5 * float(r @ r)
         t = 1.0
         while True:
-            r_t = residual(z + t * dz)
-            if 0.5 * float(r_t @ r_t) <= merit0 * (1.0 - 2.0 * cfg.armijo_c * t):
-                break
+            try:
+                r_t = residual(z + t * dz)
+                if 0.5 * float(r_t @ r_t) <= merit0 * (1.0 - 2.0 * cfg.armijo_c * t):
+                    break
+            except liealg.OutOfChart:
+                pass
             t *= cfg.backtrack
             if t < cfg.min_step:
                 raise varint.NoConvergence("interface line search stalled")
@@ -728,16 +707,17 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
         raise varint.NoConvergence(
             f"interface Newton did not converge in {cfg.max_iter} iterations"
         )
-    if width > 1:
-        committed = np.concatenate(
-            [r[:11], r[11 * width : 11 * width + 3], r[14 * width : 14 * width + 3]]
-        )
-        if np.abs(committed).max() > 1e-8:
-            raise varint.NoConvergence(
-                "committed interface rows stalled above tolerance"
-            )
-    knots, mults = split(z)
-    return IntervalBlock(block.k + 1, b, knots[2], mults[1].lam, mults[1].mu)
+    # the committed rows: knot k+1 and interval k+1
+    if width > 1 and np.abs(r[:_PAIR_WIDTH]).max() > 1e-8:
+        raise varint.NoConvergence("committed interface rows stalled above tolerance")
+    z = z[:_PAIR_WIDTH]
+    knot = varint.DiscreteKnot(
+        g=base_g[2] @ liealg.retract(z[6:9], method),
+        Pi=z[9:12],
+        u=float(z[12]),
+        tau=z[13:17],
+    )
+    return IntervalBlock(block.k + 1, b, knot, z[0:3], z[3:6])
 
 
 def march(prob, block0, cfg=None, method="cay", lookahead=3):
@@ -769,16 +749,12 @@ def regularity_check(prob, traj, k, eps=1e-4):
     if not 0 <= k < prob.grid.n:
         raise ValueError("interval index out of range")
 
+    g, v = traj.g_stack(), pack(traj)
+
     def fold_row(shift):
-        knots = list(traj.knots)
-        old = knots[k + 1]
-        knots[k + 1] = varint.DiscreteKnot(
-            g=old.g, Pi=old.Pi, u=old.u + shift, tau=old.tau
-        )
-        bumped = varint.DiscreteTrajectory(traj.grid, knots, traj.multipliers)
-        return varint.kkt_residuals_exact(
-            prob.w, prob.ref, prob.model, prob.act, bumped
-        )["d_u"][k]
+        bumped = v.copy()
+        bumped[_PAIR_WIDTH * (k + 1) + 6] += shift
+        return _full_residual(prob, g, bumped)[_PAIR_WIDTH * k + 6]
 
     e = eps * (1.0 + abs(traj.knots[k + 1].u))
     measured = (fold_row(e) - fold_row(-e)) / (2.0 * e)

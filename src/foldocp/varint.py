@@ -8,6 +8,10 @@ exists in two forms: a derivative-based one (authoritative; every component
 equals a central finite difference of the extended cost) and a componentwise
 transcription variant kept as a characterized cross-check. Downstream
 consumers (solver, harness) use the derivative-based forms only.
+
+The derivative-based residuals, the discrete cost and the stationarity blocks
+are written once, in a stacked kernel over all intervals; the per-interval
+and per-trajectory functions are thin wrappers around it.
 """
 
 from dataclasses import dataclass
@@ -15,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, ocp, plant
+
+_EYE = np.eye(3)
 
 
 class NoConvergence(RuntimeError):
@@ -170,14 +176,28 @@ def free_dlp_step(inertia, h, g, Pi_prev, method="cay", tol=1e-14, max_iter=100)
     return g_next, inertia * omega
 
 
-def _free_dlp_run_cay(inertia, g0, Pi0, h, n_steps, reorth_every, tol, max_iter):
+def _free_dlp_history(inertia, g0, Pi0, h, n_steps, method="cay",
+                      reorth_every=liealg.REORTH_INTERVAL, tol=1e-14, max_iter=100):
+    """Attitude (n+1, 3, 3) and momentum (n+1, 3) histories of free_dlp_run."""
+    inertia = np.asarray(inertia, dtype=float)
+    g_hist = np.empty((n_steps + 1, 3, 3))
+    Pi_hist = np.empty((n_steps + 1, 3))
+    g_hist[0] = g0
+    Pi_hist[0] = Pi0
+    if method != "cay":
+        g, Pi = g_hist[0], Pi_hist[0]
+        for k in range(n_steps):
+            g, Pi = free_dlp_step(inertia, h, g, Pi, method, tol, max_iter)
+            if (k + 1) % reorth_every == 0:
+                g = liealg.orthonormalize(g)
+            g_hist[k + 1] = g
+            Pi_hist[k + 1] = Pi
+        return g_hist, Pi_hist
     # scalar inner loop (same update as free_dlp_step); the 3x3 fixed point
     # runs on floats so long-horizon drift studies stay cheap
     i1, i2, i3 = (float(v) for v in inertia)
-    p1, p2, p3 = (float(v) for v in Pi0)
-    out = np.empty((n_steps + 1, 3))
-    out[0] = (p1, p2, p3)
-    g = np.array(g0, dtype=float)
+    p1, p2, p3 = (float(v) for v in Pi_hist[0])
+    g = g_hist[0]
     w1, w2, w3 = p1 / i1, p2 / i2, p3 / i3
     for k in range(n_steps):
         # b = (I - hat(h w)/2 + (h w)(h w)^T/4) Pi at the previous rate
@@ -205,7 +225,7 @@ def _free_dlp_run_cay(inertia, g0, Pi0, h, n_steps, reorth_every, tol, max_iter)
                 f"momentum update stalled after {max_iter} iterations"
             )
         p1, p2, p3 = i1 * w1, i2 * w2, i3 * w3
-        out[k + 1] = (p1, p2, p3)
+        Pi_hist[k + 1] = (p1, p2, p3)
         # g <- g cay(h w / 2)
         y1, y2, y3 = 0.5 * h * w1, 0.5 * h * w2, 0.5 * h * w3
         sig = 2.0 / (1.0 + y1 * y1 + y2 * y2 + y3 * y3)
@@ -231,27 +251,17 @@ def _free_dlp_run_cay(inertia, g0, Pi0, h, n_steps, reorth_every, tol, max_iter)
         g = g @ r
         if (k + 1) % reorth_every == 0:
             g = liealg.orthonormalize(g)
-    return g, out
+        g_hist[k + 1] = g
+    return g_hist, Pi_hist
 
 
 def free_dlp_run(inertia, g0, Pi0, h, n_steps, method="cay",
                  reorth_every=liealg.REORTH_INTERVAL, tol=1e-14, max_iter=100):
     """Iterate free_dlp_step; returns (g_final, momentum history (n+1, 3))."""
-    inertia = np.asarray(inertia, dtype=float)
-    if method == "cay":
-        return _free_dlp_run_cay(
-            inertia, g0, Pi0, h, n_steps, reorth_every, tol, max_iter
-        )
-    out = np.empty((n_steps + 1, 3))
-    out[0] = Pi0
-    g = np.asarray(g0, dtype=float)
-    Pi = np.asarray(Pi0, dtype=float)
-    for k in range(n_steps):
-        g, Pi = free_dlp_step(inertia, h, g, Pi, method, tol, max_iter)
-        out[k + 1] = Pi
-        if (k + 1) % reorth_every == 0:
-            g = liealg.orthonormalize(g)
-    return g, out
+    g_hist, Pi_hist = _free_dlp_history(
+        inertia, g0, Pi0, h, n_steps, method, reorth_every, tol, max_iter
+    )
+    return g_hist[-1].copy(), Pi_hist
 
 
 def discrete_spatial_momentum(inertia, h, g, Pi, method="cay"):
@@ -265,7 +275,105 @@ def discrete_spatial_momentum(inertia, h, g, Pi, method="cay"):
 
 
 # ---------------------------------------------------------------------------
-# one-interval residuals and cost
+# the stacked kernel: every trapezoidal formula, all intervals at once
+
+
+def _kernel(model, act, h, g, Pi, u, tau, method="cay", w=None, lam=None, mu=None,
+            ref_table=None):
+    """Interval residuals, discrete cost and stationarity blocks on stacks.
+
+    g (n+1, 3, 3), Pi (n+1, 3), u (n+1,), tau (n+1, 4) are the knots. Returns
+    "phi123" and "phi4" (n, 3); when the weights w are given it also returns
+    "cost" (n,), the per-interval discrete cost, and the first derivatives
+    of extended_cost "d_g", "d_Pi" (n+1, 3), "d_u" (n+1,), "d_tau" (n+1, 4),
+    which need the multipliers lam, mu (n, 3) and ref_table = (g_d, Pi_d),
+    the reference sampled at the knots. Raises OutOfChart when a relative
+    rotation leaves the chart.
+    """
+    i_d = plant.inertia_diag(model, u)
+    omega = Pi / i_d
+    bmat = plant.torque_matrix(act, u)
+    force = (bmat @ tau[..., None])[..., 0]
+    cross_wp = np.cross(omega, Pi)
+    f_ab = np.swapaxes(g[:-1], -1, -2) @ g[1:]
+    x = liealg.retract_inv(f_ab, method)
+    out = {
+        "phi123": (
+            (Pi[1:] - Pi[:-1]) / h
+            + 0.5 * (cross_wp[:-1] + cross_wp[1:])
+            - 0.5 * (force[:-1] + force[1:])
+        ),
+        "phi4": x - 0.5 * h * (omega[:-1] + omega[1:]),
+    }
+    if w is None:
+        return out
+    g_d, Pi_d = ref_table
+    n = u.size - 1
+    du_quot = (u[1:] - u[:-1]) / h
+    # trapezoidal halves: the fold rate enters both ends as the difference
+    # quotient
+    out["cost"] = 0.5 * h * (
+        ocp._stage_cost(w, g[:-1], g_d[:-1], Pi[:-1], Pi_d[:-1], du_quot, tau[:-1])
+        + ocp._stage_cost(w, g[1:], g_d[1:], Pi[1:], Pi_d[1:], du_quot, tau[1:])
+    )
+    # per-knot partials
+    di_inv = plant.d_inertia_inv_du_diag(model, u)
+    dbmat = plant.d_torque_matrix_du(act, u)
+    m = -liealg.hat(Pi) / i_d[:, None, :] + liealg.hat(omega)
+    d123_du = 0.5 * np.cross(di_inv * Pi, Pi) - 0.5 * (dbmat @ tau[..., None])[..., 0]
+    d4_du = -0.5 * h * di_inv * Pi
+    dc_dPi = 0.5 * h * w.c4 * (Pi - Pi_d)
+    dc_dtau = 0.5 * h * w.c2 * tau
+    dc_dg = 0.5 * h * w.c3 * ocp.attitude_cost_gradient(g, g_d)
+    # accumulate both interval ends into the knot rows
+    d_Pi = np.zeros((n + 1, 3))
+    d_Pi[:-1] += (
+        -lam / h
+        + 0.5 * np.einsum("kji,kj->ki", m[:-1], lam)
+        - 0.5 * h * mu / i_d[:-1]
+        - dc_dPi[:-1]
+    )
+    d_Pi[1:] += (
+        lam / h
+        + 0.5 * np.einsum("kji,kj->ki", m[1:], lam)
+        - 0.5 * h * mu / i_d[1:]
+        - dc_dPi[1:]
+    )
+    d_u = np.zeros(n + 1)
+    d_u[:-1] += (
+        (lam * d123_du[:-1]).sum(axis=1)
+        + (mu * d4_du[:-1]).sum(axis=1)
+        + w.c1 * du_quot
+    )
+    d_u[1:] += (
+        (lam * d123_du[1:]).sum(axis=1)
+        + (mu * d4_du[1:]).sum(axis=1)
+        - w.c1 * du_quot
+    )
+    d_tau = np.zeros((n + 1, 4))
+    d_tau[:-1] += -0.5 * np.einsum("kij,ki->kj", bmat[:-1], lam) - dc_dtau[:-1]
+    d_tau[1:] += -0.5 * np.einsum("kij,ki->kj", bmat[1:], lam) - dc_dtau[1:]
+    d_g = np.zeros((n + 1, 3))
+    dri_t_mu = liealg.dretract_inv_dual(x, mu, method)
+    d_g[:-1] += -dri_t_mu - dc_dg[:-1]
+    d_g[1:] += np.einsum("kji,kj->ki", f_ab, dri_t_mu) - dc_dg[1:]
+    out.update(d_g=d_g, d_Pi=d_Pi, d_u=d_u, d_tau=d_tau)
+    return out
+
+
+def _knot_stacks(traj):
+    return traj.g_stack(), traj.Pi_stack(), traj.u_stack(), traj.tau_stack()
+
+
+def _pair(a, b):
+    # two-knot stack for the one-interval wrappers
+    return np.stack([a, b]).astype(float)
+
+
+# Plant placeholders for wrappers whose result does not depend on the plant
+# (the cost) or on the rotors (phi4).
+_ANY_MODEL = plant.InertiaModel()
+_ANY_ACT = plant.ActuationModel()
 
 
 def residual_phi123(model, act, grid, Pi_k, Pi_k1, u_k, u_k1, tau_k, tau_k1):
@@ -274,17 +382,10 @@ def residual_phi123(model, act, grid, Pi_k, Pi_k1, u_k, u_k1, tau_k, tau_k1):
     (Pi_{k+1} - Pi_k)/h + (1/2)(omega_k x Pi_k + omega_{k+1} x Pi_{k+1})
     - (1/2)(B(u_k) tau_k + B(u_{k+1}) tau_{k+1});  omega = I(u)^-1 Pi.
     """
-    Pi_k = np.asarray(Pi_k, dtype=float)
-    Pi_k1 = np.asarray(Pi_k1, dtype=float)
-    w_k = Pi_k / plant.inertia_diag(model, u_k)
-    w_k1 = Pi_k1 / plant.inertia_diag(model, u_k1)
-    f_k = plant.body_torque(act, u_k, tau_k)
-    f_k1 = plant.body_torque(act, u_k1, tau_k1)
-    return (
-        (Pi_k1 - Pi_k) / grid.h
-        + 0.5 * (np.cross(w_k, Pi_k) + np.cross(w_k1, Pi_k1))
-        - 0.5 * (f_k + f_k1)
-    )
+    return _kernel(
+        model, act, grid.h, _pair(_EYE, _EYE), _pair(Pi_k, Pi_k1),
+        _pair(u_k, u_k1), _pair(tau_k, tau_k1),
+    )["phi123"][0]
 
 
 def residual_phi123_componentwise(model, act, grid, Pi_k, Pi_k1, u_k, u_k1, tau_k, tau_k1):
@@ -317,12 +418,10 @@ def residual_phi4(model, grid, g_k, g_k1, Pi_k, Pi_k1, u_k, u_k1, method="cay"):
     retract_inv(g_k^-1 g_{k+1}) - (h/2)(I(u_k)^-1 Pi_k + I(u_{k+1})^-1 Pi_{k+1});
     raises OutOfChart when the relative rotation leaves the chart.
     """
-    g_k = np.asarray(g_k, dtype=float)
-    g_k1 = np.asarray(g_k1, dtype=float)
-    x = liealg.retract_inv(g_k.T @ g_k1, method)
-    w_k = np.asarray(Pi_k, dtype=float) / plant.inertia_diag(model, u_k)
-    w_k1 = np.asarray(Pi_k1, dtype=float) / plant.inertia_diag(model, u_k1)
-    return x - 0.5 * grid.h * (w_k + w_k1)
+    return _kernel(
+        model, _ANY_ACT, grid.h, _pair(g_k, g_k1), _pair(Pi_k, Pi_k1),
+        _pair(u_k, u_k1), np.zeros((2, 4)), method,
+    )["phi4"][0]
 
 
 def discrete_cost(w, ref, grid, k, knot_k, knot_k1, t0=0.0):
@@ -333,37 +432,26 @@ def discrete_cost(w, ref, grid, k, knot_k, knot_k1, t0=0.0):
     t0 shifts the reference sampling times (grids windowed out of a longer
     horizon keep their global clock).
     """
-    h = grid.h
-    du = (knot_k1.u - knot_k.u) / h
-    c_a = ocp.running_cost(
-        w, ref, t0 + k * h, knot_k.g, knot_k.Pi, knot_k.u, du, knot_k.tau
+    g_d, Pi_d = zip(*(ref.sample(t0 + j * grid.h) for j in (k, k + 1)))
+    out = _kernel(
+        _ANY_MODEL, _ANY_ACT, grid.h, _pair(knot_k.g, knot_k1.g),
+        _pair(knot_k.Pi, knot_k1.Pi), _pair(knot_k.u, knot_k1.u),
+        _pair(knot_k.tau, knot_k1.tau), "cay",
+        w, np.zeros((1, 3)), np.zeros((1, 3)), (np.stack(g_d), np.stack(Pi_d)),
     )
-    c_b = ocp.running_cost(
-        w, ref, t0 + (k + 1) * h, knot_k1.g, knot_k1.Pi, knot_k1.u, du, knot_k1.tau
-    )
-    return 0.5 * h * (c_a + c_b)
+    return float(out["cost"][0])
 
 
 def total_cost(w, ref, traj, t0=0.0):
     """Sum of the per-interval discrete costs."""
-    return sum(
-        discrete_cost(w, ref, traj.grid, k, traj.knots[k], traj.knots[k + 1], t0)
-        for k in range(traj.grid.n)
-    )
+    out = kkt_residuals_exact(w, ref, _ANY_MODEL, _ANY_ACT, traj, t0=t0)
+    return float(out["cost"].sum())
 
 
 def constraint_residuals(model, act, traj, method="cay"):
     """Stacked per-interval residuals: (n, 3) for Phi123 and (n, 3) for Phi4."""
-    n = traj.grid.n
-    r123 = np.empty((n, 3))
-    r4 = np.empty((n, 3))
-    for k in range(n):
-        a, b = traj.knots[k], traj.knots[k + 1]
-        r123[k] = residual_phi123(
-            model, act, traj.grid, a.Pi, b.Pi, a.u, b.u, a.tau, b.tau
-        )
-        r4[k] = residual_phi4(model, traj.grid, a.g, b.g, a.Pi, b.Pi, a.u, b.u, method)
-    return r123, r4
+    out = _kernel(model, act, traj.grid.h, *_knot_stacks(traj), method)
+    return out["phi123"], out["phi4"]
 
 
 def extended_cost(w, ref, model, act, traj, method="cay", t0=0.0):
@@ -373,10 +461,12 @@ def extended_cost(w, ref, model, act, traj, method="cay", t0=0.0):
     exact first derivatives are the stationarity blocks of
     kkt_residuals_exact.
     """
-    r123, r4 = constraint_residuals(model, act, traj, method)
-    lam = traj.lam_stack()
-    mu = traj.mu_stack()
-    return float((lam * r123).sum() + (mu * r4).sum()) - total_cost(w, ref, traj, t0)
+    out = kkt_residuals_exact(w, ref, model, act, traj, method, t0)
+    return float(
+        (traj.lam_stack() * out["phi123"]).sum()
+        + (traj.mu_stack() * out["phi4"]).sum()
+        - out["cost"].sum()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,104 +602,26 @@ def kkt_residuals_exact(w, ref, model, act, traj, method="cay", t0=0.0,
 
     Returns a dict with "d_g", "d_Pi" (n+1, 3), "d_u" (n+1,), "d_tau"
     (n+1, 4) -- derivatives with respect to every knot unknown, endpoint rows
-    included -- plus the multiplier blocks "phi123" and "phi4" (n, 3). A
-    stationary point of the fixed-endpoint problem zeroes the interior state
-    rows, all control rows, and both feasibility blocks.
+    included -- plus the multiplier blocks "phi123" and "phi4" (n, 3) and the
+    per-interval discrete cost "cost" (n,). A stationary point of the
+    fixed-endpoint problem zeroes the interior state rows, all control rows,
+    and both feasibility blocks.
 
-    The cay chart runs on a stacked fast path (kkt_residuals_loop is the
-    interval-at-a-time reference it is tested against); ref_table optionally
-    carries precomputed reference samples at the knot times.
+    Both charts run on the stacked kernel; kkt_residuals_loop is the
+    interval-at-a-time test oracle. ref_table optionally carries
+    precomputed reference samples at the knot times.
     """
-    if method == "cay":
-        return _kkt_residuals_batched(w, ref, model, act, traj, t0, ref_table)
-    return kkt_residuals_loop(w, ref, model, act, traj, method, t0)
-
-
-def _kkt_residuals_batched(w, ref, model, act, traj, t0=0.0, ref_table=None):
-    n = traj.grid.n
-    h = traj.grid.h
-    g = traj.g_stack()
-    Pi = traj.Pi_stack()
-    u = traj.u_stack()
-    tau = traj.tau_stack()
-    lam = traj.lam_stack()
-    mu = traj.mu_stack()
     if ref_table is None:
         ref_table = reference_table(ref, traj.grid, t0)
-    g_d, Pi_d = ref_table
-    # per-knot quantities
-    i_d = plant.inertia_diag(model, u)
-    di_inv = plant.d_inertia_inv_du_diag(model, u)
-    omega = Pi / i_d
-    bmat = plant.torque_matrix(act, u)
-    dbmat = plant.d_torque_matrix_du(act, u)
-    force = (bmat @ tau[..., None])[..., 0]
-    m = -liealg.hat(Pi) / i_d[:, None, :] + liealg.hat(omega)
-    d123_du = 0.5 * np.cross(di_inv * Pi, Pi) - 0.5 * (dbmat @ tau[..., None])[..., 0]
-    d4_du = -0.5 * h * di_inv * Pi
-    mm = np.swapaxes(g_d, -1, -2) @ g
-    nn = mm @ mm
-    grad_att = 2.0 * liealg.vee(nn - np.swapaxes(nn, -1, -2), tol=None)
-    dc_dPi = 0.5 * h * w.c4 * (Pi - Pi_d)
-    dc_dtau = 0.5 * h * w.c2 * tau
-    dc_dg = 0.5 * h * w.c3 * grad_att
-    du_quot = (u[1:] - u[:-1]) / h
-    # per-interval chart quantities
-    f_ab = np.swapaxes(g[:-1], -1, -2) @ g[1:]
-    x = liealg.retract_inv(f_ab)
-    half = 0.5 * x
-    dri = np.eye(3) - liealg.hat(half) + half[:, :, None] * half[:, None, :]
-    cross_wp = np.cross(omega, Pi)
-    phi123 = (
-        (Pi[1:] - Pi[:-1]) / h
-        + 0.5 * (cross_wp[:-1] + cross_wp[1:])
-        - 0.5 * (force[:-1] + force[1:])
+    return _kernel(
+        model, act, traj.grid.h, *_knot_stacks(traj), method,
+        w, traj.lam_stack(), traj.mu_stack(), ref_table,
     )
-    phi4 = x - 0.5 * h * (omega[:-1] + omega[1:])
-    # accumulate both interval ends into the knot rows
-    d_Pi = np.zeros((n + 1, 3))
-    d_Pi[:-1] += (
-        -lam / h
-        + 0.5 * np.einsum("kji,kj->ki", m[:-1], lam)
-        - 0.5 * h * mu / i_d[:-1]
-        - dc_dPi[:-1]
-    )
-    d_Pi[1:] += (
-        lam / h
-        + 0.5 * np.einsum("kji,kj->ki", m[1:], lam)
-        - 0.5 * h * mu / i_d[1:]
-        - dc_dPi[1:]
-    )
-    d_u = np.zeros(n + 1)
-    d_u[:-1] += (
-        (lam * d123_du[:-1]).sum(axis=1)
-        + (mu * d4_du[:-1]).sum(axis=1)
-        + w.c1 * du_quot
-    )
-    d_u[1:] += (
-        (lam * d123_du[1:]).sum(axis=1)
-        + (mu * d4_du[1:]).sum(axis=1)
-        - w.c1 * du_quot
-    )
-    d_tau = np.zeros((n + 1, 4))
-    d_tau[:-1] += -0.5 * np.einsum("kij,ki->kj", bmat[:-1], lam) - dc_dtau[:-1]
-    d_tau[1:] += -0.5 * np.einsum("kij,ki->kj", bmat[1:], lam) - dc_dtau[1:]
-    d_g = np.zeros((n + 1, 3))
-    dri_t_mu = np.einsum("kji,kj->ki", dri, mu)
-    d_g[:-1] += -dri_t_mu - dc_dg[:-1]
-    d_g[1:] += np.einsum("kji,kj->ki", f_ab, dri_t_mu) - dc_dg[1:]
-    return {
-        "d_g": d_g,
-        "d_Pi": d_Pi,
-        "d_u": d_u,
-        "d_tau": d_tau,
-        "phi123": phi123,
-        "phi4": phi4,
-    }
 
 
 def kkt_residuals_loop(w, ref, model, act, traj, method="cay", t0=0.0):
-    """Interval-at-a-time reference for kkt_residuals_exact (any chart)."""
+    """Interval-at-a-time reference for kkt_residuals_exact (any chart);
+    used by the tests only."""
     n = traj.grid.n
     d_g = np.zeros((n + 1, 3))
     d_Pi = np.zeros((n + 1, 3))

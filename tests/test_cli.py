@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from foldocp import cli, harness
+from foldocp import cli, harness, liealg
 
 
 def _config_file(tmp_path, **kw):
@@ -102,6 +102,17 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     invalid.write_text(json.dumps({"grid": {"h_s": 0.05, "N": 8}, "weights": {"c2": 0.0}}))
     assert cli.main(["solve", "--config", str(invalid)]) == 2
     assert "c2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [liealg.OutOfChart, liealg.TooFarFromGroup])
+def test_chart_errors_exit_four(tmp_path, capsys, monkeypatch, error):
+    # both subclass ValueError, whose clause exits 2
+    def fail(config):
+        raise error("raised by the solve")
+
+    monkeypatch.setattr(harness, "run_scenario", fail)
+    assert cli.main(["solve", "--config", _config_file(tmp_path)]) == 4
+    assert "raised by the solve" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

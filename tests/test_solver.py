@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldocp import liealg as la
 from foldocp import ocp, plant, solver, varint
@@ -77,8 +79,6 @@ def test_solver_config_validation():
         solver.SolverConfig(armijo_c=1.5)
     with pytest.raises(ValueError):
         solver.SolverConfig(backtrack=0.0)
-    with pytest.raises(ValueError):
-        solver.SolverConfig(mode="anneal")
     cfg = solver.SolverConfig(max_iter=17.0)
     assert cfg.max_iter == 17
 
@@ -152,6 +152,37 @@ def test_unpack_rejects_out_of_chart():
         solver.unpack(traj, v)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 0.99),
+    k=st.integers(0, 6),
+    axis=st.integers(0, 2),
+)
+def test_unpack_is_one_retraction_per_knot(n, seed, scale, k, axis):
+    rng = np.random.default_rng(seed)
+    base = _random_trajectory(rng, n, h=0.05)
+    v = solver.pack(base) + 0.1 * rng.normal(size=solver._total_size(n))
+    delta = rng.normal(size=(n + 1, 3))
+    delta *= (scale * solver.CHART_RADIUS * rng.random(n + 1)
+              / np.linalg.norm(delta, axis=1))[:, None]
+    slots = solver._PAIR_WIDTH * np.arange(n + 1)[:, None] + np.arange(3)
+    v[slots] = delta
+    moved = solver.unpack(base, v)
+    for j, (a, b) in enumerate(zip(base.knots, moved.knots)):
+        np.testing.assert_allclose(b.g, a.g @ la.retract(delta[j]), rtol=0, atol=1e-14)
+    zeroed = v.copy()
+    zeroed[slots] = 0.0
+    np.testing.assert_array_equal(solver.pack(moved), zeroed)
+    # an increment exactly at the chart radius is rejected, naming its knot
+    k %= n + 1
+    v[slots[k]] = 0.0
+    v[slots[k, axis]] = solver.CHART_RADIUS
+    with pytest.raises(la.OutOfChart, match=f"at knot {k} "):
+        solver.unpack(base, v)
+
+
 @pytest.mark.parametrize(
     "mode,extra",
     [("fixed_endpoints", -3), ("free_terminal", 4), ("initial_costate", 4)],
@@ -196,18 +227,6 @@ def test_colored_jacobian_matches_dense(mode):
     # the colored sweep must reproduce the dense reference exactly: every
     # entry off the assumed pattern is identically zero
     np.testing.assert_allclose(sparse.toarray(), dense, rtol=0, atol=0)
-
-
-def test_jacobian_threads_env_agreement(monkeypatch):
-    rng = np.random.default_rng(12)
-    n, h = 4, 0.05
-    prob = _problem(n, h)
-    bc = _tilted_bc()
-    base = solver._project_bc(_random_trajectory(rng, n, h), bc, prob.grid)
-    j1 = solver.jacobian_fd(prob, base, bc).toarray()
-    monkeypatch.setenv("FOLDOCP_THREADS", "3")
-    j3 = solver.jacobian_fd(prob, base, bc).toarray()
-    np.testing.assert_allclose(j3, j1, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------

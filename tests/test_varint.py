@@ -473,8 +473,9 @@ def test_kkt_residuals_match_fd_of_extended_cost(method):
             np.testing.assert_allclose(out["phi4"][k][i], fd, rtol=2e-6, atol=1e-7)
 
 
-def test_kkt_batched_matches_loop_reference():
-    # the stacked cay path and the interval-at-a-time reference are the same
+@pytest.mark.parametrize("method", ["cay", "exp"])
+def test_kkt_batched_matches_loop_reference(method):
+    # the stacked kernel and the interval-at-a-time reference are the same
     # map, down to round-off, including with a precomputed reference table
     rng = np.random.default_rng(77)
     w, model, act = _models()
@@ -482,13 +483,13 @@ def test_kkt_batched_matches_loop_reference():
     for trial in range(5):
         traj = _random_trajectory(rng, n=6, h=0.04)
         t0 = 0.3 * trial
-        fast = varint.kkt_residuals_exact(w, ref, model, act, traj, "cay", t0=t0)
-        slow = varint.kkt_residuals_loop(w, ref, model, act, traj, "cay", t0=t0)
+        fast = varint.kkt_residuals_exact(w, ref, model, act, traj, method, t0=t0)
+        slow = varint.kkt_residuals_loop(w, ref, model, act, traj, method, t0=t0)
         for key in ("d_g", "d_Pi", "d_u", "d_tau", "phi123", "phi4"):
             np.testing.assert_allclose(fast[key], slow[key], rtol=0, atol=1e-13)
         table = varint.reference_table(ref, traj.grid, t0)
         tabled = varint.kkt_residuals_exact(
-            w, ref, model, act, traj, "cay", t0=t0, ref_table=table
+            w, ref, model, act, traj, method, t0=t0, ref_table=table
         )
         for key in ("d_g", "d_Pi", "d_u", "d_tau", "phi123", "phi4"):
             np.testing.assert_allclose(tabled[key], fast[key], rtol=0, atol=0)
