@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import liealg
 
@@ -235,19 +234,3 @@ def free_momentum_rk4(inertia, Pi0, h, n_steps):
         out[k + 1] = (p1, p2, p3)
     return out
 
-
-def planar_omega2_closed_form(model, act, u, tau_fn, t0, t, omega2_0):
-    """Pitch-rate quadrature for planar motion (omega1 = omega3 = 0).
-
-    Valid when the commanded thrusts keep the first and third body torques at
-    zero; then I2(u) omega2_dot = l cos(u) kappa1 (tau1 + tau2 - tau3 - tau4)
-    and omega2 follows by direct integration.
-    """
-    i2 = float(inertia_diag(model, u)[1])
-
-    def integrand(z):
-        tau = np.asarray(tau_fn(z), dtype=float)
-        return tau[0] + tau[1] - tau[2] - tau[3]
-
-    val, _ = quad(integrand, t0, t, limit=200)
-    return omega2_0 + act.l * np.cos(u) * act.kappa1 * val / i2

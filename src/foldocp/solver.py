@@ -4,13 +4,17 @@ Unknowns live in a knot-major flat vector (per knot: attitude chart increment,
 momentum, fold angle, rotor commands; per interval: the two multipliers)
 paired with an (n+1, 3, 3) stack of base attitudes. Residuals, Jacobian
 sweeps and line searches work on that pair directly through varint's stacked
-kernel; trajectory objects are built only for callers (pack/unpack and the
-returned solutions). The attitude block is re-centered every Newton iterate
-so increments stay small. The Jacobian is central finite differences
-evaluated in structurally independent column groups and factored sparse; a
-dense single-column sweep is kept as the correctness reference.
+kernel, which also takes a batch of packed vectors; trajectory objects are
+built only for callers (pack/unpack and the returned solutions). The
+attitude block is re-centered every Newton iterate so increments stay small.
+The Jacobian is central finite differences over structurally independent
+column groups, all 90 perturbed copies evaluated in one batched residual
+call, and factored sparse; a dense single-column sweep is kept as the
+correctness reference. Marching windows build their dense Jacobian from one
+batched call the same way.
 """
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -150,22 +154,26 @@ def _total_size(n):
 
 
 def _rows(v, n):
-    """Copy of a packed vector as (n+1, _PAIR_WIDTH) knot-major rows; the
-    last row's multiplier slots are zero padding."""
-    rows = np.zeros((n + 1) * _PAIR_WIDTH)
-    rows[:_total_size(n)] = v
-    return rows.reshape(n + 1, _PAIR_WIDTH)
+    """Copy of a packed vector (or a batch (..., size) of them) as
+    (..., n+1, _PAIR_WIDTH) knot-major rows; the last row's multiplier slots
+    are zero padding."""
+    batch = v.shape[:-1]
+    rows = np.zeros(batch + ((n + 1) * _PAIR_WIDTH,))
+    rows[..., :_total_size(n)] = v
+    return rows.reshape(batch + (n + 1, _PAIR_WIDTH))
 
 
 def _attitudes(g, delta, method="cay"):
-    """g_k retract(delta_k) for every knot; OutOfChart names the first knot
-    whose increment reaches the chart radius."""
-    norms = np.sqrt((delta * delta).sum(axis=1))
-    outside = np.flatnonzero(norms >= CHART_RADIUS)
+    """g_k retract(delta_k) for every knot of delta (..., n+1, 3); OutOfChart
+    names the first knot whose increment reaches the chart radius in any
+    copy of a batch."""
+    norms = np.sqrt((delta * delta).sum(axis=-1)).reshape(-1, delta.shape[-2])
+    worst = norms.max(axis=0)
+    outside = np.flatnonzero(worst >= CHART_RADIUS)
     if outside.size:
         k = outside[0]
         raise liealg.OutOfChart(
-            f"attitude increment {norms[k]:.3f} at knot {k} leaves the chart"
+            f"attitude increment {worst[k]:.3f} at knot {k} leaves the chart"
         )
     return g @ liealg.retract(delta, method)
 
@@ -204,18 +212,17 @@ def unpack(base_traj, v, method="cay"):
     return _trajectory(base_traj.grid, g, rows)
 
 
-def _masks(grid, bc):
-    """Boolean (rows, cols) masks carving the square system out of the
-    full stationarity + feasibility stack."""
-    n = grid.n
+def _masks(n, mode):
+    """Boolean (rows, cols) masks carving the square system of n intervals
+    under a boundary mode out of the full stationarity + feasibility stack."""
     rows = np.ones(_total_size(n), dtype=bool)
     cols = np.ones(_total_size(n), dtype=bool)
-    if bc.mode == "fixed_endpoints":
+    if mode == "fixed_endpoints":
         for k in (0, n):
             b = _PAIR_WIDTH * k
             rows[b:b + 7] = False
             cols[b:b + 7] = False
-    elif bc.mode == "free_terminal":
+    elif mode == "free_terminal":
         rows[0:7] = False
         cols[0:7] = False
     else:  # initial_costate: pins replace the initial rows, terminal dropped
@@ -227,37 +234,39 @@ def _masks(grid, bc):
 
 def _full_residual(prob, g, v, bc=None, method="cay", ref_table=None):
     """Stationarity and feasibility rows, packed like the unknowns, at the
-    knots g_k retract(delta_k) described by (g, v). The number of intervals
-    is read from g, so windows shorter than prob.grid work too."""
+    knots g_k retract(delta_k) described by (g, v). v is one packed vector or
+    a stack (..., size) of them around the same g; the rows come back in
+    the same shape from one kernel call. The number of intervals is read from g,
+    so windows shorter than prob.grid work too."""
     n = g.shape[0] - 1
     h = prob.grid.h
     rows = _rows(v, n)
     if ref_table is None:
         ref_table = varint.reference_table(prob.ref, prob.grid)
     out = varint._kernel(
-        prob.model, prob.act, h, _attitudes(g, rows[:, :3], method),
-        rows[:, 3:6], rows[:, 6], rows[:, 7:11], method,
-        prob.w, rows[:-1, 11:14], rows[:-1, 14:17], ref_table,
+        prob.model, prob.act, h, _attitudes(g, rows[..., :3], method),
+        rows[..., 3:6], rows[..., 6], rows[..., 7:11], method,
+        prob.w, rows[..., :-1, 11:14], rows[..., :-1, 14:17], ref_table,
     )
-    r = np.zeros((n + 1, _PAIR_WIDTH))
-    r[:, 0:3] = out["d_g"]
-    r[:, 3:6] = out["d_Pi"]
-    r[:, 6] = out["d_u"]
-    r[:, 7:11] = out["d_tau"]
-    r[:-1, 11:14] = out["phi123"]
-    r[:-1, 14:17] = out["phi4"]
-    r = r.ravel()[:_total_size(n)]
+    r = np.zeros(rows.shape)
+    r[..., 0:3] = out["d_g"]
+    r[..., 3:6] = out["d_Pi"]
+    r[..., 6] = out["d_u"]
+    r[..., 7:11] = out["d_tau"]
+    r[..., :-1, 11:14] = out["phi123"]
+    r[..., :-1, 14:17] = out["phi4"]
+    r = r.reshape(v.shape[:-1] + (-1,))[..., :_total_size(n)]
     if bc is not None and bc.mode == "initial_costate":
-        r[0:3] = rows[0, 14:17] - bc.p_xi0
-        r[3:6] = rows[0, 11:14] - h * bc.p_Pi0
-        r[6] = (rows[1, 6] - rows[0, 6]) / h - bc.u_dot0
+        r[..., 0:3] = rows[..., 0, 14:17] - bc.p_xi0
+        r[..., 3:6] = rows[..., 0, 11:14] - h * bc.p_Pi0
+        r[..., 6] = (rows[..., 1, 6] - rows[..., 0, 6]) / h - bc.u_dot0
     return r
 
 
 def assemble_residual(prob, traj, bc, method="cay"):
     """Square residual under the boundary closure; zero iff the discrete
     necessary conditions hold."""
-    rows, _ = _masks(prob.grid, bc)
+    rows, _ = _masks(prob.grid.n, bc.mode)
     return _full_residual(prob, traj.g_stack(), pack(traj), bc, method)[rows]
 
 
@@ -265,37 +274,36 @@ def assemble_residual(prob, traj, bc, method="cay"):
 # finite-difference Jacobian (colored sparse default, dense reference)
 
 
-def _col_block(j):
-    q, r = divmod(j, _PAIR_WIDTH)
-    if r < _KNOT_WIDTH:
-        return "knot", q, r
-    return "interval", q, r - _KNOT_WIDTH
+@functools.lru_cache(maxsize=16)
+def _coloring(n, mode):
+    """Column groups and sparsity pattern of the colored sweep, as index
+    arrays, for n intervals under a boundary mode.
 
-
-def _rows_for_knot(n, k):
-    idx = []
-    for kk in range(max(0, k - 1), min(n, k + 1) + 1):
-        b = _PAIR_WIDTH * kk
-        idx.extend(range(b, b + _KNOT_WIDTH))
-    for kk in range(max(0, k - 1), min(n - 1, k) + 1):
-        b = _PAIR_WIDTH * kk + _KNOT_WIDTH
-        idx.extend(range(b, b + 6))
-    return idx
-
-
-def _rows_for_interval(n, k):
-    idx = []
-    for kk in (k, k + 1):
-        b = _PAIR_WIDTH * kk
-        idx.extend(range(b, b + _KNOT_WIDTH))
-    return idx
-
-
-def _pattern_rows(n, j):
-    kind, k, _ = _col_block(j)
-    if kind == "knot":
-        return _rows_for_knot(n, k)
-    return _rows_for_interval(n, k)
+    Knot columns three knots apart and interval columns two intervals apart
+    touch disjoint rows, so a group perturbs one coordinate slot at every
+    such column. Returns (free, group, entry_group, entry_row, entry_col,
+    row, col): the free full columns and the group of each; then per
+    structural nonzero its group, full row and full column, and its
+    (row, col) in the square system, ordered by column then row.
+    """
+    rows_mask, cols_mask = _masks(n, mode)
+    free = np.flatnonzero(cols_mask)
+    q, slot = np.divmod(free, _PAIR_WIDTH)
+    knot = slot < _KNOT_WIDTH
+    key = np.where(knot, 3 * slot + q % 3, 3 * _PAIR_WIDTH + 2 * slot + q % 2)
+    group = np.unique(key, return_inverse=True)[1]
+    # rows as offsets from the first row of the column's knot k: a knot
+    # column reaches the whole blocks of k-1 and k and the knot rows of k+1,
+    # an interval column the knot rows of k and k+1
+    off = np.arange(-_PAIR_WIDTH, _PAIR_WIDTH + _KNOT_WIDTH)
+    full = _PAIR_WIDTH * q[:, None] + off
+    hit = knot[:, None] | ((off >= 0) & (off % _PAIR_WIDTH < _KNOT_WIDTH))
+    hit &= (full >= 0) & (full < rows_mask.size)
+    hit[hit] = rows_mask[full[hit]]
+    col, pos = np.nonzero(hit)
+    entry_row = full[col, pos]
+    row = (np.cumsum(rows_mask) - 1)[entry_row]
+    return free, group, group[col], entry_row, free[col], row, col
 
 
 def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
@@ -306,56 +314,41 @@ def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
     vector whose attitude slots hold chart increments around g, e.g.
     (traj.g_stack(), pack(traj)). Columns are perturbed in structurally
     independent groups (knots three apart, intervals two apart, one
-    coordinate slot at a time), so a full Jacobian costs 90 residual sweeps
-    regardless of the grid size.
+    coordinate slot at a time), and the 2 x 45 perturbed copies are
+    evaluated as one batch in a single residual call, regardless of the
+    grid size; entries are scattered through index arrays built once per
+    (n, boundary mode).
     colored=False evaluates one column at a time and returns a dense array
     -- the reference path.
     """
     cfg = cfg or SolverConfig()
     g, v = base
-    n = prob.grid.n
-    rows_mask, cols_mask = _masks(prob.grid, bc)
-    m = int(rows_mask.sum())
-    row_pos = -np.ones(_total_size(n), dtype=int)
-    row_pos[rows_mask] = np.arange(m)
-    free_cols = np.flatnonzero(cols_mask)
-    col_pos = {int(j): i for i, j in enumerate(free_cols)}
     eps = cfg.fd_epsilon * (1.0 + np.abs(v))
-
-    def column_diff(cols):
-        vp = v.copy()
-        vm = v.copy()
-        vp[cols] += eps[cols]
-        vm[cols] -= eps[cols]
-        rp = _full_residual(prob, g, vp, bc, method, ref_table)
-        rm = _full_residual(prob, g, vm, bc, method, ref_table)
-        return rp - rm
-
     if not colored:
-        dense = np.zeros((m, m))
-        for j in free_cols:
-            d = column_diff([j])
-            dense[:, col_pos[j]] = d[rows_mask] / (2.0 * eps[j])
+        rows_mask, cols_mask = _masks(prob.grid.n, bc.mode)
+        free = np.flatnonzero(cols_mask)
+        dense = np.zeros((free.size, free.size))
+        for i, j in enumerate(free):
+            vp = v.copy()
+            vm = v.copy()
+            vp[j] += eps[j]
+            vm[j] -= eps[j]
+            d = (_full_residual(prob, g, vp, bc, method, ref_table)
+                 - _full_residual(prob, g, vm, bc, method, ref_table))
+            dense[:, i] = d[rows_mask] / (2.0 * eps[j])
         return dense
 
-    groups = {}
-    for j in free_cols:
-        kind, k, slot = _col_block(j)
-        stride = 3 if kind == "knot" else 2
-        groups.setdefault((kind, k % stride, slot), []).append(int(j))
-
-    rows_idx, cols_idx, data = [], [], []
-    for cols in groups.values():
-        d = column_diff(cols)
-        for j in cols:
-            scale = 2.0 * eps[j]
-            for r_full in _pattern_rows(n, j):
-                r_red = row_pos[r_full]
-                if r_red >= 0:
-                    rows_idx.append(r_red)
-                    cols_idx.append(col_pos[j])
-                    data.append(d[r_full] / scale)
-    return coo_matrix((data, (rows_idx, cols_idx)), shape=(m, m)).tocsc()
+    free, group, entry_group, entry_row, entry_col, row, col = _coloring(
+        prob.grid.n, bc.mode
+    )
+    copies = np.tile(v, (2, group.max() + 1, 1))
+    copies[0, group, free] += eps[free]
+    copies[1, group, free] -= eps[free]
+    r = _full_residual(prob, g, copies, bc, method, ref_table)
+    d = r[0] - r[1]
+    data = d[entry_group, entry_row] / (2.0 * eps[entry_col])
+    m = free.size
+    return coo_matrix((data, (row, col)), shape=(m, m)).tocsc()
 
 
 def _condition_estimate(matrix, lu):
@@ -410,13 +403,13 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
             "c1 = 0 zeroes the fold-coupling block c1/h; the system is singular"
         )
     n = prob.grid.n
-    rows_mask, cols_mask = _masks(prob.grid, bc)
+    rows_mask, cols_mask = _masks(n, bc.mode)
     table = varint.reference_table(prob.ref, prob.grid)
     g, v = _project_bc(traj0, bc, prob.grid)
     r = _full_residual(prob, g, v, bc, method, table)[rows_mask]
     residuals = [float(np.abs(r).max())]
     step_norms = []
-    condition = float("nan")
+    factored = None
     iterations = 0
     while residuals[-1] > cfg.tol_residual:
         if iterations >= cfg.max_iter:
@@ -431,7 +424,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
         direction = lu.solve(-r)
         if not np.isfinite(direction).all():
             raise SingularJacobian("Newton direction is not finite")
-        condition = _condition_estimate(jac, lu)
+        factored = jac, lu
         dv = np.zeros(v.size)
         dv[cols_mask] = direction
         merit0 = 0.5 * float(r @ r)
@@ -467,7 +460,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
         "iterations": iterations,
         "residuals": residuals,
         "step_norms": step_norms,
-        "condition": condition,
+        "condition": _condition_estimate(*factored) if factored else float("nan"),
         "unknowns": int(cols_mask.sum()),
     }
     return _trajectory(prob.grid, g, _rows(v, n)), report
@@ -648,11 +641,17 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
     last_tau = _PAIR_WIDTH * (width + 1) + 7
 
     def residual(z):
-        r = _full_residual(prob, base_g, np.concatenate([head, z]), None, method, table)
-        parts = [r[ahead], z.reshape(width, _PAIR_WIDTH)[:, 13:17].sum(axis=1)]
+        # z is one unknown vector or a batch (B, z.size) of them
+        batch = z.shape[:-1]
+        v = np.concatenate([np.broadcast_to(head, batch + head.shape), z], axis=-1)
+        r = _full_residual(prob, base_g, v, None, method, table)
+        parts = [
+            r[..., ahead],
+            z.reshape(batch + (width, _PAIR_WIDTH))[..., 13:17].sum(axis=-1),
+        ]
         if closes:
-            parts.append(r[last_tau:last_tau + 4])
-        return np.concatenate(parts)
+            parts.append(r[..., last_tau:last_tau + 4])
+        return np.concatenate(parts, axis=-1)
 
     steps = np.arange(1, width + 1)[:, None]
     z = np.zeros((width, _PAIR_WIDTH))
@@ -667,15 +666,15 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
     for _ in range(cfg.max_iter):
         if np.abs(r).max() <= tol:
             break
-        jac = np.empty((r.size, z.size))
+        # dense central differences: all 2 z.size copies z +- e_j in one batch
+        e = cfg.fd_epsilon * (1.0 + np.abs(z))
+        j = np.arange(z.size)
+        copies = np.tile(z, (2, z.size, 1))
+        copies[0, j, j] += e
+        copies[1, j, j] -= e
         try:
-            for j in range(z.size):
-                e = cfg.fd_epsilon * (1.0 + abs(z[j]))
-                zp = z.copy()
-                zm = z.copy()
-                zp[j] += e
-                zm[j] -= e
-                jac[:, j] = (residual(zp) - residual(zm)) / (2.0 * e)
+            d = residual(copies)
+            jac = ((d[0] - d[1]) / (2.0 * e)[:, None]).T
         except liealg.OutOfChart as exc:
             # a drifting recursion walks the attitude to the chart edge
             raise varint.NoConvergence(f"interface iterate left the chart: {exc}")
@@ -749,15 +748,11 @@ def regularity_check(prob, traj, k, eps=1e-4):
     if not 0 <= k < prob.grid.n:
         raise ValueError("interval index out of range")
 
-    g, v = traj.g_stack(), pack(traj)
-
-    def fold_row(shift):
-        bumped = v.copy()
-        bumped[_PAIR_WIDTH * (k + 1) + 6] += shift
-        return _full_residual(prob, g, bumped)[_PAIR_WIDTH * k + 6]
-
     e = eps * (1.0 + abs(traj.knots[k + 1].u))
-    measured = (fold_row(e) - fold_row(-e)) / (2.0 * e)
+    bumped = np.tile(pack(traj), (2, 1))
+    bumped[:, _PAIR_WIDTH * (k + 1) + 6] += (e, -e)
+    fold_row = _full_residual(prob, traj.g_stack(), bumped)[:, _PAIR_WIDTH * k + 6]
+    measured = (fold_row[0] - fold_row[1]) / (2.0 * e)
     return abs(float(measured)), abs(prob.w.c1) / prob.grid.h
 
 

@@ -9,9 +9,11 @@ equals a central finite difference of the extended cost) and a componentwise
 transcription variant kept as a characterized cross-check. Downstream
 consumers (solver, harness) use the derivative-based forms only.
 
-The derivative-based residuals, the discrete cost and the stationarity blocks
-are written once, in a stacked kernel over all intervals; the per-interval
-and per-trajectory functions are thin wrappers around it.
+The derivative-based residuals and the stationarity blocks are written once,
+in a stacked kernel over all intervals that also evaluates a batch of
+trajectories in one call; the discrete cost is one stacked helper beside it,
+and the per-interval and per-trajectory functions are thin wrappers around
+the two.
 """
 
 from dataclasses import dataclass
@@ -278,87 +280,96 @@ def discrete_spatial_momentum(inertia, h, g, Pi, method="cay"):
 # the stacked kernel: every trapezoidal formula, all intervals at once
 
 
+# first and second knot of every interval, in (..., n+1, k) and
+# (..., n+1, 3, 3) knot stacks
+_A, _B = np.s_[..., :-1, :], np.s_[..., 1:, :]
+_A3, _B3 = np.s_[..., :-1, :, :], np.s_[..., 1:, :, :]
+
+
+def _to_knots(first, second):
+    """Knot rows (..., n+1, k) summing each interval's contributions
+    (..., n, k) at its first and at its second knot."""
+    out = np.zeros(first.shape[:-2] + (first.shape[-2] + 1, first.shape[-1]))
+    out[_A] += first
+    out[_B] += second
+    return out
+
+
 def _kernel(model, act, h, g, Pi, u, tau, method="cay", w=None, lam=None, mu=None,
             ref_table=None):
-    """Interval residuals, discrete cost and stationarity blocks on stacks.
+    """Interval residuals and stationarity blocks on stacks.
 
-    g (n+1, 3, 3), Pi (n+1, 3), u (n+1,), tau (n+1, 4) are the knots. Returns
-    "phi123" and "phi4" (n, 3); when the weights w are given it also returns
-    "cost" (n,), the per-interval discrete cost, and the first derivatives
-    of extended_cost "d_g", "d_Pi" (n+1, 3), "d_u" (n+1,), "d_tau" (n+1, 4),
-    which need the multipliers lam, mu (n, 3) and ref_table = (g_d, Pi_d),
-    the reference sampled at the knots. Raises OutOfChart when a relative
-    rotation leaves the chart.
+    g (..., n+1, 3, 3), Pi (..., n+1, 3), u (..., n+1), tau (..., n+1, 4) are
+    the knots; leading axes, if any, index independent trajectories, so one
+    call evaluates a whole batch. Returns "phi123" and "phi4" (..., n, 3);
+    when the weights w are given it also returns the first derivatives of
+    extended_cost "d_g", "d_Pi" (..., n+1, 3), "d_u" (..., n+1), "d_tau"
+    (..., n+1, 4), which need the multipliers lam, mu (..., n, 3) and
+    ref_table = (g_d, Pi_d), the reference sampled at the knots. Raises
+    OutOfChart when a relative rotation leaves the chart.
     """
     i_d = plant.inertia_diag(model, u)
     omega = Pi / i_d
     bmat = plant.torque_matrix(act, u)
     force = (bmat @ tau[..., None])[..., 0]
     cross_wp = np.cross(omega, Pi)
-    f_ab = np.swapaxes(g[:-1], -1, -2) @ g[1:]
+    f_ab = np.swapaxes(g[_A3], -1, -2) @ g[_B3]
     x = liealg.retract_inv(f_ab, method)
     out = {
         "phi123": (
-            (Pi[1:] - Pi[:-1]) / h
-            + 0.5 * (cross_wp[:-1] + cross_wp[1:])
-            - 0.5 * (force[:-1] + force[1:])
+            (Pi[_B] - Pi[_A]) / h
+            + 0.5 * (cross_wp[_A] + cross_wp[_B])
+            - 0.5 * (force[_A] + force[_B])
         ),
-        "phi4": x - 0.5 * h * (omega[:-1] + omega[1:]),
+        "phi4": x - 0.5 * h * (omega[_A] + omega[_B]),
     }
     if w is None:
         return out
     g_d, Pi_d = ref_table
-    n = u.size - 1
-    du_quot = (u[1:] - u[:-1]) / h
-    # trapezoidal halves: the fold rate enters both ends as the difference
-    # quotient
-    out["cost"] = 0.5 * h * (
-        ocp._stage_cost(w, g[:-1], g_d[:-1], Pi[:-1], Pi_d[:-1], du_quot, tau[:-1])
-        + ocp._stage_cost(w, g[1:], g_d[1:], Pi[1:], Pi_d[1:], du_quot, tau[1:])
-    )
+    du_quot = (u[..., 1:] - u[..., :-1]) / h
     # per-knot partials
     di_inv = plant.d_inertia_inv_du_diag(model, u)
     dbmat = plant.d_torque_matrix_du(act, u)
-    m = -liealg.hat(Pi) / i_d[:, None, :] + liealg.hat(omega)
+    m = -liealg.hat(Pi) / i_d[..., None, :] + liealg.hat(omega)
     d123_du = 0.5 * np.cross(di_inv * Pi, Pi) - 0.5 * (dbmat @ tau[..., None])[..., 0]
     d4_du = -0.5 * h * di_inv * Pi
     dc_dPi = 0.5 * h * w.c4 * (Pi - Pi_d)
     dc_dtau = 0.5 * h * w.c2 * tau
     dc_dg = 0.5 * h * w.c3 * ocp.attitude_cost_gradient(g, g_d)
-    # accumulate both interval ends into the knot rows
-    d_Pi = np.zeros((n + 1, 3))
-    d_Pi[:-1] += (
-        -lam / h
-        + 0.5 * np.einsum("kji,kj->ki", m[:-1], lam)
-        - 0.5 * h * mu / i_d[:-1]
-        - dc_dPi[:-1]
+    # each interval's partials at its first and second knot
+    mt = "...kji,...kj->...ki"  # transposed matrix times vector, per knot
+    d_Pi = _to_knots(
+        -lam / h + 0.5 * np.einsum(mt, m[_A3], lam) - 0.5 * h * mu / i_d[_A] - dc_dPi[_A],
+        lam / h + 0.5 * np.einsum(mt, m[_B3], lam) - 0.5 * h * mu / i_d[_B] - dc_dPi[_B],
     )
-    d_Pi[1:] += (
-        lam / h
-        + 0.5 * np.einsum("kji,kj->ki", m[1:], lam)
-        - 0.5 * h * mu / i_d[1:]
-        - dc_dPi[1:]
+    d_u = _to_knots(
+        ((lam * d123_du[_A]).sum(axis=-1) + (mu * d4_du[_A]).sum(axis=-1)
+         + w.c1 * du_quot)[..., None],
+        ((lam * d123_du[_B]).sum(axis=-1) + (mu * d4_du[_B]).sum(axis=-1)
+         - w.c1 * du_quot)[..., None],
+    )[..., 0]
+    d_tau = _to_knots(
+        -0.5 * np.einsum("...kij,...ki->...kj", bmat[_A3], lam) - dc_dtau[_A],
+        -0.5 * np.einsum("...kij,...ki->...kj", bmat[_B3], lam) - dc_dtau[_B],
     )
-    d_u = np.zeros(n + 1)
-    d_u[:-1] += (
-        (lam * d123_du[:-1]).sum(axis=1)
-        + (mu * d4_du[:-1]).sum(axis=1)
-        + w.c1 * du_quot
-    )
-    d_u[1:] += (
-        (lam * d123_du[1:]).sum(axis=1)
-        + (mu * d4_du[1:]).sum(axis=1)
-        - w.c1 * du_quot
-    )
-    d_tau = np.zeros((n + 1, 4))
-    d_tau[:-1] += -0.5 * np.einsum("kij,ki->kj", bmat[:-1], lam) - dc_dtau[:-1]
-    d_tau[1:] += -0.5 * np.einsum("kij,ki->kj", bmat[1:], lam) - dc_dtau[1:]
-    d_g = np.zeros((n + 1, 3))
     dri_t_mu = liealg.dretract_inv_dual(x, mu, method)
-    d_g[:-1] += -dri_t_mu - dc_dg[:-1]
-    d_g[1:] += np.einsum("kji,kj->ki", f_ab, dri_t_mu) - dc_dg[1:]
+    d_g = _to_knots(-dri_t_mu - dc_dg[_A], np.einsum(mt, f_ab, dri_t_mu) - dc_dg[_B])
     out.update(d_g=d_g, d_Pi=d_Pi, d_u=d_u, d_tau=d_tau)
     return out
+
+
+def _interval_cost(w, h, g, Pi, u, tau, ref_table):
+    """Per-interval discrete cost (..., n) on the knot stacks of _kernel.
+
+    h times the trapezoidal average of the running cost; the fold rate enters
+    both ends as the difference quotient.
+    """
+    g_d, Pi_d = ref_table
+    du_quot = (u[..., 1:] - u[..., :-1]) / h
+    return 0.5 * h * (
+        ocp._stage_cost(w, g[_A3], g_d[:-1], Pi[_A], Pi_d[:-1], du_quot, tau[_A])
+        + ocp._stage_cost(w, g[_B3], g_d[1:], Pi[_B], Pi_d[1:], du_quot, tau[_B])
+    )
 
 
 def _knot_stacks(traj):
@@ -370,9 +381,7 @@ def _pair(a, b):
     return np.stack([a, b]).astype(float)
 
 
-# Plant placeholders for wrappers whose result does not depend on the plant
-# (the cost) or on the rotors (phi4).
-_ANY_MODEL = plant.InertiaModel()
+# actuation placeholder for phi4, which does not depend on the rotors
 _ANY_ACT = plant.ActuationModel()
 
 
@@ -433,19 +442,20 @@ def discrete_cost(w, ref, grid, k, knot_k, knot_k1, t0=0.0):
     horizon keep their global clock).
     """
     g_d, Pi_d = zip(*(ref.sample(t0 + j * grid.h) for j in (k, k + 1)))
-    out = _kernel(
-        _ANY_MODEL, _ANY_ACT, grid.h, _pair(knot_k.g, knot_k1.g),
-        _pair(knot_k.Pi, knot_k1.Pi), _pair(knot_k.u, knot_k1.u),
-        _pair(knot_k.tau, knot_k1.tau), "cay",
-        w, np.zeros((1, 3)), np.zeros((1, 3)), (np.stack(g_d), np.stack(Pi_d)),
+    cost = _interval_cost(
+        w, grid.h, _pair(knot_k.g, knot_k1.g), _pair(knot_k.Pi, knot_k1.Pi),
+        _pair(knot_k.u, knot_k1.u), _pair(knot_k.tau, knot_k1.tau),
+        (np.stack(g_d), np.stack(Pi_d)),
     )
-    return float(out["cost"][0])
+    return float(cost[0])
 
 
 def total_cost(w, ref, traj, t0=0.0):
     """Sum of the per-interval discrete costs."""
-    out = kkt_residuals_exact(w, ref, _ANY_MODEL, _ANY_ACT, traj, t0=t0)
-    return float(out["cost"].sum())
+    cost = _interval_cost(
+        w, traj.grid.h, *_knot_stacks(traj), reference_table(ref, traj.grid, t0)
+    )
+    return float(cost.sum())
 
 
 def constraint_residuals(model, act, traj, method="cay"):
@@ -613,10 +623,13 @@ def kkt_residuals_exact(w, ref, model, act, traj, method="cay", t0=0.0,
     """
     if ref_table is None:
         ref_table = reference_table(ref, traj.grid, t0)
-    return _kernel(
-        model, act, traj.grid.h, *_knot_stacks(traj), method,
+    stacks = _knot_stacks(traj)
+    out = _kernel(
+        model, act, traj.grid.h, *stacks, method,
         w, traj.lam_stack(), traj.mu_stack(), ref_table,
     )
+    out["cost"] = _interval_cost(w, traj.grid.h, *stacks, ref_table)
+    return out
 
 
 def kkt_residuals_loop(w, ref, model, act, traj, method="cay", t0=0.0):

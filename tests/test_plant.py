@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from foldocp import liealg as la
 from foldocp import plant
@@ -159,6 +160,23 @@ def test_free_momentum_rk4_matches_general_integrator():
     np.testing.assert_allclose(lean, ps, rtol=1e-12, atol=1e-15)
 
 
+def planar_omega2_closed_form(model, act, u, tau_fn, t0, t, omega2_0):
+    """Pitch-rate quadrature for planar motion (omega1 = omega3 = 0).
+
+    Valid when the commanded thrusts keep the first and third body torques at
+    zero; then I2(u) omega2_dot = l cos(u) kappa1 (tau1 + tau2 - tau3 - tau4)
+    and omega2 follows by direct integration.
+    """
+    i2 = float(plant.inertia_diag(model, u)[1])
+
+    def integrand(z):
+        tau = np.asarray(tau_fn(z), dtype=float)
+        return tau[0] + tau[1] - tau[2] - tau[3]
+
+    val, _ = quad(integrand, t0, t, limit=200)
+    return omega2_0 + act.l * np.cos(u) * act.kappa1 * val / i2
+
+
 def test_planar_closed_form_matches_integration():
     # thrust pattern keeping roll/yaw channels silent: tau1 = tau2, tau3 = tau4 = 0
     m, act = plant.InertiaModel(), plant.ActuationModel()
@@ -171,7 +189,7 @@ def test_planar_closed_form_matches_integration():
     omega2_0 = 0.2
     state = plant.PlantState(np.eye(3), np.array([0.0, i2 * omega2_0, 0.0]))
     _, _, ps = plant.integrate(m, act, state, lambda t: (u, 0.0, tau_fn(t)), 0.0, 0.001, 3000)
-    got = plant.planar_omega2_closed_form(m, act, u, tau_fn, 0.0, 3.0, omega2_0)
+    got = planar_omega2_closed_form(m, act, u, tau_fn, 0.0, 3.0, omega2_0)
     np.testing.assert_allclose(got, ps[-1, 1] / i2, rtol=1e-8)
     # motion stays planar
     assert np.max(np.abs(ps[:, [0, 2]])) < 1e-12

@@ -199,7 +199,7 @@ def test_masked_system_is_square(mode, extra):
             mode=mode, g0=np.eye(3), Pi0=np.zeros(3), u0=0.3,
             u_dot0=0.0, p_Pi0=np.zeros(3), p_xi0=np.zeros(3),
         )
-    rows, cols = solver._masks(grid, bc)
+    rows, cols = solver._masks(grid.n, bc.mode)
     assert rows.sum() == cols.sum() == 17 * n + extra
 
 
@@ -207,10 +207,13 @@ def test_masked_system_is_square(mode, extra):
 # finite-difference Jacobian
 
 
+@pytest.mark.parametrize("n", [2, 4, 7])
 @pytest.mark.parametrize("mode", ["fixed_endpoints", "free_terminal", "initial_costate"])
-def test_colored_jacobian_matches_dense(mode):
+def test_colored_jacobian_matches_dense(mode, n):
+    # several grid sizes per mode, so a pattern cached for the wrong
+    # (n, mode) cannot pass
     rng = np.random.default_rng(11)
-    n, h = 4, 0.05
+    h = 0.05
     prob = _problem(n, h)
     traj = _random_trajectory(rng, n, h)
     if mode == "initial_costate":
@@ -227,6 +230,21 @@ def test_colored_jacobian_matches_dense(mode):
     # the colored sweep must reproduce the dense reference exactly: every
     # entry off the assumed pattern is identically zero
     np.testing.assert_allclose(sparse.toarray(), dense, rtol=0, atol=0)
+
+
+def test_batched_residual_names_the_knot_leaving_the_chart():
+    rng = np.random.default_rng(13)
+    n, h = 4, 0.05
+    prob = _problem(n, h)
+    traj = _random_trajectory(rng, n, h)
+    g, v = traj.g_stack(), solver.pack(traj)
+    copies = np.tile(v, (3, 1))
+    single = solver._full_residual(prob, g, v)
+    np.testing.assert_array_equal(solver._full_residual(prob, g, copies)[1], single)
+    # one copy of the batch puts knot 2 past the chart radius
+    copies[1, solver._PAIR_WIDTH * 2 + 1] = solver.CHART_RADIUS + 0.01
+    with pytest.raises(la.OutOfChart, match="at knot 2 "):
+        solver._full_residual(prob, g, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +325,7 @@ def test_newton_gradient_contract_at_solution():
     traj, _ = solver.newton_solve(prob, guess, bc)
     cost = varint.extended_cost(prob.w, prob.ref, prob.model, prob.act, traj)
     scale = 1e-6 * (1.0 + abs(cost))
-    rows, _ = solver._masks(prob.grid, bc)
+    rows, _ = solver._masks(prob.grid.n, bc.mode)
     out = solver.assemble_residual(prob, traj, bc)
     assert np.abs(out).max() < scale
 

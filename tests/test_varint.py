@@ -495,6 +495,32 @@ def test_kkt_batched_matches_loop_reference(method):
             np.testing.assert_allclose(tabled[key], fast[key], rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("method", ["cay", "exp"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_kernel_batch_equals_separate_calls(method, weighted):
+    # a (B, n+1, ...) stack evaluates B trajectories in one call, bit for bit
+    rng = np.random.default_rng(91)
+    w, model, act = _models()
+    trajs = [_random_trajectory(rng, n=5, h=0.04) for _ in range(3)]
+    table = varint.reference_table(_time_varying_reference(), trajs[0].grid)
+
+    def args(stacks, lam, mu):
+        extra = (w, lam, mu, table) if weighted else ()
+        return (model, act, 0.04, *stacks, method, *extra)
+
+    batch = varint._kernel(*args(
+        [np.stack(s) for s in zip(*(varint._knot_stacks(t) for t in trajs))],
+        np.stack([t.lam_stack() for t in trajs]),
+        np.stack([t.mu_stack() for t in trajs]),
+    ))
+    assert set(batch) == ({"phi123", "phi4", "d_g", "d_Pi", "d_u", "d_tau"}
+                          if weighted else {"phi123", "phi4"})
+    for b, t in enumerate(trajs):
+        single = varint._kernel(*args(varint._knot_stacks(t), t.lam_stack(), t.mu_stack()))
+        for key, value in single.items():
+            np.testing.assert_array_equal(batch[key][b], value)
+
+
 def test_kkt_zero_on_equilibrium_two_step_toy():
     w, model, act = _models()
     g_d = la.exp_so3(np.array([0.3, 0.1, -0.2]))
