@@ -303,7 +303,10 @@ def _coloring(n, mode):
     col, pos = np.nonzero(hit)
     entry_row = full[col, pos]
     row = (np.cumsum(rows_mask) - 1)[entry_row]
-    return free, group, group[col], entry_row, free[col], row, col
+    arrays = free, group, group[col], entry_row, free[col], row, col
+    for a in arrays:  # shared by every caller through the cache
+        a.flags.writeable = False
+    return arrays
 
 
 def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
