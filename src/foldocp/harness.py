@@ -319,12 +319,12 @@ def euler_angles(r):
 
 def _euler_lenient(r):
     # report-only variant: clamps at gimbal lock instead of raising, so
-    # tumbling free-body runs still export (roll/yaw are then not separable)
-    sin_pitch = min(1.0, max(-1.0, -r[2, 0]))
+    # tumbling free-body runs still export (roll/yaw are then not separable);
+    # broadcasts over (..., 3, 3)
     return (
-        math.atan2(r[2, 1], r[2, 2]),
-        math.asin(sin_pitch),
-        math.atan2(r[1, 0], r[0, 0]),
+        np.arctan2(r[..., 2, 1], r[..., 2, 2]),
+        np.arcsin(np.clip(-r[..., 2, 0], -1.0, 1.0)),
+        np.arctan2(r[..., 1, 0], r[..., 0, 0]),
     )
 
 
@@ -450,30 +450,16 @@ def _kkt_column(prob, traj):
 
 
 def _records_from_trajectory(config, ref, traj, kkt_col):
-    n = traj.grid.n
-    h = traj.grid.h
-    records = np.empty((n + 1, len(CSV_COLUMNS)))
-    frob = np.empty(n + 1)
-    for k in range(n + 1):
-        t = k * h
-        knot = traj.knots[k]
-        g_ref, _ = ref.sample(t)
-        roll, pitch, yaw = _euler_lenient(knot.g)
-        r_ref = _euler_lenient(g_ref)
-        err = _euler_lenient(g_ref.T @ knot.g)
-        frob[k] = np.linalg.norm(knot.g - g_ref)
-        records[k] = (
-            t,
-            roll, pitch, yaw,
-            r_ref[0], r_ref[1], r_ref[2],
-            err[0], err[1], err[2],
-            knot.u,
-            knot.tau[0], knot.tau[1], knot.tau[2], knot.tau[3],
-            knot.Pi[0], knot.Pi[1], knot.Pi[2],
-            np.linalg.norm(knot.Pi),
-            kkt_col[k],
-        )
-    return records, frob
+    """Per-knot records (CSV_COLUMNS order) and the Frobenius attitude error,
+    computed over the trajectory's stacks."""
+    g, Pi = traj.g_stack(), traj.Pi_stack()
+    g_ref, _ = varint.reference_table(ref, traj.grid)
+    records = np.column_stack([
+        traj.grid.times(), *_euler_lenient(g), *_euler_lenient(g_ref),
+        *_euler_lenient(np.swapaxes(g_ref, -1, -2) @ g), traj.u_stack(),
+        traj.tau_stack(), Pi, np.sqrt((Pi * Pi).sum(axis=-1)), kkt_col,
+    ])
+    return records, np.sqrt(((g - g_ref) ** 2).sum(axis=(-1, -2)))
 
 
 def _guards(config, traj, ortho_tol=1e-8):
@@ -570,9 +556,9 @@ def simulate(config, mode="dlp"):
 def export_csv(report, path):
     """Write the records at 17 significant digits; empty reports still get
     the header so downstream parsers see the schema."""
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS))
     lines = [",".join(CSV_COLUMNS)]
-    for row in report.records:
-        lines.append(",".join(f"{value:.17g}" for value in row))
+    lines += [row % tuple(values) for values in report.records.tolist()]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -115,24 +115,19 @@ def cay(x):
 
 
 def cay_inv(r, tol=1e-8):
-    """Inverse Cayley map via hat(x) = (r - I)(r + I)^{-1}.
+    """Inverse Cayley map of a rotation r (required: the closed form holds on
+    SO(3) only): hat(x) = (r - I)(r + I)^{-1}, i.e. x = s / (1 + tr r) with
+    s = (r32 - r23, r13 - r31, r21 - r12).
 
-    Raises OutOfChart when r + I is singular within tol (rotation angle at pi;
-    det(r + I) = 4*(1 + cos(angle))).
+    Raises OutOfChart when |det(r + I)| = |2 (1 + tr r)| < tol (rotation
+    angle at pi; det(r + I) = 4*(1 + cos(angle))).
     """
     r = np.asarray(r, dtype=float)
-    rpi = r + _EYE
-    det = np.linalg.det(rpi)
-    if np.min(np.abs(det)) < tol:
+    den = 1.0 + r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]
+    if np.min(np.abs(2.0 * den)) < tol:
         raise OutOfChart("rotation within tolerance of the angle-pi chart boundary")
-    # hat(x) = (r - I) rpi^{-1}  solved as  rpi^T hat(x)^T = (r - I)^T
-    xh = np.swapaxes(
-        np.linalg.solve(np.swapaxes(rpi, -1, -2), np.swapaxes(r - _EYE, -1, -2)),
-        -1,
-        -2,
-    )
-    # analytically skew; strip roundoff symmetric part
-    return vee(0.5 * (xh - np.swapaxes(xh, -1, -2)), tol=None)
+    s = r[..., [2, 0, 1], [1, 2, 0]] - r[..., [1, 2, 0], [2, 0, 1]]
+    return s / den[..., None]
 
 
 def dcay(x, v):

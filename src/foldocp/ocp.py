@@ -9,7 +9,7 @@ Pontryagin function) is authoritative and the mismatch is characterized in
 the tests rather than hidden.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,10 +45,12 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class Reference:
-    """Tracking reference: maps t -> desired attitude and body momentum."""
+    """Tracking reference: pure maps t -> desired attitude and body momentum."""
 
     g_d: Callable[[float], np.ndarray]
     Pi_d: Callable[[float], np.ndarray]
+    # varint.reference_table's samples per grid, freed with the reference
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sample(self, t):
         g = np.asarray(self.g_d(t), dtype=float)

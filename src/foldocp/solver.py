@@ -4,8 +4,8 @@ Unknowns live in a knot-major flat vector (per knot: attitude chart increment,
 momentum, fold angle, rotor commands; per interval: the two multipliers)
 paired with an (n+1, 3, 3) stack of base attitudes. Residuals, Jacobian
 sweeps and line searches work on that pair directly through varint's stacked
-kernel, which also takes a batch of packed vectors; trajectory objects are
-built only for callers (pack/unpack and the returned solutions). The
+kernel, which also takes a batch of packed vectors; trajectories, which
+hold stacks, are built only for unpack and the returned solutions. The
 attitude block is re-centered every Newton iterate so increments stay small.
 The Jacobian is central finite differences over structurally independent
 column groups, all 90 perturbed copies evaluated in one batched residual
@@ -232,21 +232,20 @@ def _masks(n, mode):
     return rows, cols
 
 
-def _full_residual(prob, g, v, bc=None, method="cay", ref_table=None):
+def _full_residual(prob, g, v, bc=None, method="cay", t0=0.0):
     """Stationarity and feasibility rows, packed like the unknowns, at the
     knots g_k retract(delta_k) described by (g, v). v is one packed vector or
     a stack (..., size) of them around the same g; the rows come back in
     the same shape from one kernel call. The number of intervals is read from g,
-    so windows shorter than prob.grid work too."""
+    so windows (first knot at time t0) shorter than prob.grid work too."""
     n = g.shape[0] - 1
     h = prob.grid.h
     rows = _rows(v, n)
-    if ref_table is None:
-        ref_table = varint.reference_table(prob.ref, prob.grid)
     out = varint._kernel(
         prob.model, prob.act, h, _attitudes(g, rows[..., :3], method),
         rows[..., 3:6], rows[..., 6], rows[..., 7:11], method,
-        prob.w, rows[..., :-1, 11:14], rows[..., :-1, 14:17], ref_table,
+        prob.w, rows[..., :-1, 11:14], rows[..., :-1, 14:17],
+        varint.reference_table(prob.ref, varint.GridSpec(h=h, n=n), t0),
     )
     r = np.zeros(rows.shape)
     r[..., 0:3] = out["d_g"]
@@ -309,8 +308,7 @@ def _coloring(n, mode):
     return arrays
 
 
-def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
-                ref_table=None):
+def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True):
     """Central-difference Jacobian of the square residual at base.
 
     base is the pair (g, v): the (n+1, 3, 3) attitude stack and a packed
@@ -336,8 +334,8 @@ def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
             vm = v.copy()
             vp[j] += eps[j]
             vm[j] -= eps[j]
-            d = (_full_residual(prob, g, vp, bc, method, ref_table)
-                 - _full_residual(prob, g, vm, bc, method, ref_table))
+            d = (_full_residual(prob, g, vp, bc, method)
+                 - _full_residual(prob, g, vm, bc, method))
             dense[:, i] = d[rows_mask] / (2.0 * eps[j])
         return dense
 
@@ -347,7 +345,7 @@ def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True,
     copies = np.tile(v, (2, group.max() + 1, 1))
     copies[0, group, free] += eps[free]
     copies[1, group, free] -= eps[free]
-    r = _full_residual(prob, g, copies, bc, method, ref_table)
+    r = _full_residual(prob, g, copies, bc, method)
     d = r[0] - r[1]
     data = d[entry_group, entry_row] / (2.0 * eps[entry_col])
     m = free.size
@@ -407,9 +405,8 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
         )
     n = prob.grid.n
     rows_mask, cols_mask = _masks(n, bc.mode)
-    table = varint.reference_table(prob.ref, prob.grid)
     g, v = _project_bc(traj0, bc, prob.grid)
-    r = _full_residual(prob, g, v, bc, method, table)[rows_mask]
+    r = _full_residual(prob, g, v, bc, method)[rows_mask]
     residuals = [float(np.abs(r).max())]
     step_norms = []
     factored = None
@@ -419,7 +416,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
             raise varint.NoConvergence(
                 f"residual {residuals[-1]:.3e} after {cfg.max_iter} iterations"
             )
-        jac = jacobian_fd(prob, (g, v), bc, cfg, method, ref_table=table)
+        jac = jacobian_fd(prob, (g, v), bc, cfg, method)
         try:
             lu = splu(jac)
         except RuntimeError as exc:
@@ -435,7 +432,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
         while True:
             trial = v + t * dv
             try:
-                r_t = _full_residual(prob, g, trial, bc, method, table)[rows_mask]
+                r_t = _full_residual(prob, g, trial, bc, method)[rows_mask]
                 if 0.5 * float(r_t @ r_t) <= merit0 * (
                     1.0 - 2.0 * cfg.armijo_c * t
                 ):
@@ -625,7 +622,6 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
     a, b = block.knot_a, block.knot_b
     closes = block.k + width + 1 == prob.grid.n
     t0 = block.k * h
-    table = varint.reference_table(prob.ref, varint.GridSpec(h=h, n=width + 1), t0)
 
     x_step = liealg.retract_inv(a.g.T @ b.g, method)
     base_g = [a.g, b.g]
@@ -647,7 +643,7 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
         # z is one unknown vector or a batch (B, z.size) of them
         batch = z.shape[:-1]
         v = np.concatenate([np.broadcast_to(head, batch + head.shape), z], axis=-1)
-        r = _full_residual(prob, base_g, v, None, method, table)
+        r = _full_residual(prob, base_g, v, None, method, t0)
         parts = [
             r[..., ahead],
             z.reshape(batch + (width, _PAIR_WIDTH))[..., 13:17].sum(axis=-1),

@@ -16,6 +16,7 @@ and the per-interval and per-trajectory functions are thin wrappers around
 the two.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,48 +93,78 @@ class Multipliers:
             raise ValueError("multipliers must be finite")
 
 
-@dataclass(frozen=True)
 class DiscreteTrajectory:
-    """n+1 knots and n per-interval multiplier pairs on a common grid."""
+    """n+1 knots and n per-interval multiplier pairs on a common grid.
 
-    grid: GridSpec
-    knots: tuple
-    multipliers: tuple
+    Held as six read-only stacks g (n+1, 3, 3), Pi (n+1, 3), u (n+1,), tau
+    (n+1, 4), lam and mu (n, 3); the knot and multiplier objects are built
+    from them on first access. The *_stack() methods return copies.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "knots", tuple(self.knots))
-        object.__setattr__(self, "multipliers", tuple(self.multipliers))
-        if len(self.knots) != self.grid.n + 1:
-            raise ValueError(f"expected {self.grid.n + 1} knots, got {len(self.knots)}")
-        if len(self.multipliers) != self.grid.n:
-            raise ValueError(
-                f"expected {self.grid.n} multiplier pairs, got {len(self.multipliers)}"
-            )
+    def __init__(self, grid, knots, multipliers):
+        knots, multipliers = tuple(knots), tuple(multipliers)
+        if len(knots) != grid.n + 1:
+            raise ValueError(f"expected {grid.n + 1} knots, got {len(knots)}")
+        if len(multipliers) != grid.n:
+            raise ValueError(f"expected {grid.n} multiplier pairs, got {len(multipliers)}")
+        self._hold(grid, [k.g for k in knots], [k.Pi for k in knots], [k.u for k in knots],
+                   [k.tau for k in knots], [m.lam for m in multipliers],
+                   [m.mu for m in multipliers])
+        self.__dict__.update(knots=knots, multipliers=multipliers)
+
+    def _hold(self, grid, *stacks):
+        # read-only copies, written through __dict__ as __setattr__ refuses
+        self.__dict__["grid"] = grid
+        for name, a in zip(("_g", "_Pi", "_u", "_tau", "_lam", "_mu"), stacks):
+            self.__dict__[name] = a = np.array(a, dtype=float)
+            a.flags.writeable = False
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DiscreteTrajectory is immutable; cannot set {name}")
+
+    @functools.cached_property
+    def knots(self):
+        return tuple(map(DiscreteKnot, self._g, self._Pi, self._u.tolist(), self._tau))
+
+    @functools.cached_property
+    def multipliers(self):
+        return tuple(map(Multipliers, self._lam, self._mu))
 
     def g_stack(self):
-        return np.stack([k.g for k in self.knots])
+        return self._g.copy()
 
     def Pi_stack(self):
-        return np.stack([k.Pi for k in self.knots])
+        return self._Pi.copy()
 
     def u_stack(self):
-        return np.array([k.u for k in self.knots])
+        return self._u.copy()
 
     def tau_stack(self):
-        return np.stack([k.tau for k in self.knots])
+        return self._tau.copy()
 
     def lam_stack(self):
-        return np.stack([m.lam for m in self.multipliers])
+        return self._lam.copy()
 
     def mu_stack(self):
-        return np.stack([m.mu for m in self.multipliers])
+        return self._mu.copy()
 
 
 def trajectory_from_arrays(grid, g, Pi, u, tau, lam, mu):
-    """Assemble a DiscreteTrajectory from stacked arrays."""
-    knots = [DiscreteKnot(g[k], Pi[k], float(u[k]), tau[k]) for k in range(grid.n + 1)]
-    mults = [Multipliers(lam[k], mu[k]) for k in range(grid.n)]
-    return DiscreteTrajectory(grid, knots, mults)
+    """Assemble a DiscreteTrajectory from stacked arrays (copied), checking
+    shapes and finiteness once on the stacks; no knot object is built."""
+    g, Pi, u, tau, lam, mu = (np.asarray(a, dtype=float) for a in (g, Pi, u, tau, lam, mu))
+    m = grid.n + 1
+    if (g.shape, Pi.shape, u.shape, tau.shape) != ((m, 3, 3), (m, 3), (m,), (m, 4)):
+        raise ValueError("knot shapes must be g (3,3), Pi (3,), tau (4,)")
+    if not all(np.isfinite(a).all() for a in (g, Pi, u, tau)):
+        raise ValueError("knot must be finite")
+    if lam.shape != (m - 1, 3) or mu.shape != (m - 1, 3):
+        raise ValueError("multipliers must be 3-vectors")
+    if not (np.isfinite(lam).all() and np.isfinite(mu).all()):
+        raise ValueError("multipliers must be finite")
+    traj = DiscreteTrajectory.__new__(DiscreteTrajectory)
+    traj._hold(grid, g, Pi, u, tau, lam, mu)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +404,8 @@ def _interval_cost(w, h, g, Pi, u, tau, ref_table):
 
 
 def _knot_stacks(traj):
-    return traj.g_stack(), traj.Pi_stack(), traj.u_stack(), traj.tau_stack()
+    # the trajectory's own read-only stacks, no copies
+    return traj._g, traj._Pi, traj._u, traj._tau
 
 
 def _pair(a, b):
@@ -473,8 +505,8 @@ def extended_cost(w, ref, model, act, traj, method="cay", t0=0.0):
     """
     out = kkt_residuals_exact(w, ref, model, act, traj, method, t0)
     return float(
-        (traj.lam_stack() * out["phi123"]).sum()
-        + (traj.mu_stack() * out["phi4"]).sum()
+        (traj._lam * out["phi123"]).sum()
+        + (traj._mu * out["phi4"]).sum()
         - out["cost"].sum()
     )
 
@@ -596,14 +628,23 @@ def _interval_partials(w, model, act, grid, k, knot_a, knot_b, ref, method, t0=0
 def reference_table(ref, grid, t0=0.0):
     """Reference samples at the grid knots: (g_d (n+1, 3, 3), Pi_d (n+1, 3)).
 
-    Precomputed once per solve so repeated residual evaluations skip the
-    per-knot callable sampling.
+    Sampled once per reference and grid through the scalar callables, and
+    kept read-only on the reference (keyed by n, h, t0) for every later call.
+    Raises TooFarFromGroup when a g_d sample is off the group beyond 1e-6.
     """
-    g_d = np.empty((grid.n + 1, 3, 3))
-    Pi_d = np.empty((grid.n + 1, 3))
-    for k in range(grid.n + 1):
-        g_d[k], Pi_d[k] = ref.sample(t0 + k * grid.h)
-    return g_d, Pi_d
+    key = (grid.n, grid.h, t0)
+    table = ref._tables.get(key)
+    if table is None:
+        g_d = np.empty((grid.n + 1, 3, 3))
+        Pi_d = np.empty((grid.n + 1, 3))
+        for k in range(grid.n + 1):
+            g_d[k] = ref.g_d(t0 + k * grid.h)
+            Pi_d[k] = ref.Pi_d(t0 + k * grid.h)
+        liealg.require_rotation(g_d, tol=1e-6)
+        g_d.flags.writeable = False
+        Pi_d.flags.writeable = False
+        table = ref._tables[key] = (g_d, Pi_d)
+    return table
 
 
 def kkt_residuals_exact(w, ref, model, act, traj, method="cay", t0=0.0,
@@ -626,7 +667,7 @@ def kkt_residuals_exact(w, ref, model, act, traj, method="cay", t0=0.0,
     stacks = _knot_stacks(traj)
     out = _kernel(
         model, act, traj.grid.h, *stacks, method,
-        w, traj.lam_stack(), traj.mu_stack(), ref_table,
+        w, traj._lam, traj._mu, ref_table,
     )
     out["cost"] = _interval_cost(w, traj.grid.h, *stacks, ref_table)
     return out

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from foldocp import harness, liealg as la, plant
+from foldocp import harness, liealg as la, plant, varint
 
 
 def _write(tmp_path, payload):
@@ -222,6 +222,64 @@ def test_simulate_rk4_and_dlp_converge_together():
         harness.simulate(_free_body_config(), mode="verlet")
 
 
+def _records_by_knot(ref, traj, kkt_col):
+    # the per-knot loop the stacked records replaced, kept as their oracle
+    def euler(r):
+        return (
+            math.atan2(r[2, 1], r[2, 2]),
+            math.asin(min(1.0, max(-1.0, -r[2, 0]))),
+            math.atan2(r[1, 0], r[0, 0]),
+        )
+
+    records = np.empty((traj.grid.n + 1, len(harness.CSV_COLUMNS)))
+    frob = np.empty(traj.grid.n + 1)
+    for k, knot in enumerate(traj.knots):
+        t = k * traj.grid.h
+        g_ref, _ = ref.sample(t)
+        frob[k] = np.linalg.norm(knot.g - g_ref)
+        records[k] = (
+            t, *euler(knot.g), *euler(g_ref), *euler(g_ref.T @ knot.g),
+            knot.u, *knot.tau, *knot.Pi, np.linalg.norm(knot.Pi), kkt_col[k],
+        )
+    return records, frob
+
+
+def test_records_match_the_per_knot_loop():
+    cfg = harness.ScenarioConfig(
+        h_s=0.1, N=12, scenario="tracking", reference_type="yaw_ramp",
+        yaw_final_rad=2.5,
+    )
+    ref = harness.build_reference(cfg)
+    rng = np.random.default_rng(21)
+    n = cfg.N
+    g = la.exp_so3(rng.normal(size=(n + 1, 3)))
+    g[4] = harness.compose_euler(0.3, np.pi / 2, -0.2)  # gimbal lock
+    traj = varint.trajectory_from_arrays(
+        varint.GridSpec(cfg.h_s, n), g, rng.normal(size=(n + 1, 3)),
+        rng.uniform(0.0, 1.5, n + 1), rng.normal(size=(n + 1, 4)),
+        np.zeros((n, 3)), np.zeros((n, 3)),
+    )
+    kkt_col = rng.random(n + 1)
+    records, frob = harness._records_from_trajectory(cfg, ref, traj, kkt_col)
+    oracle, oracle_frob = _records_by_knot(ref, traj, kkt_col)
+    np.testing.assert_allclose(records, oracle, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(frob, oracle_frob, rtol=0, atol=1e-15)
+    assert abs(records[4, 2] - np.pi / 2) < 1e-9
+
+
+def test_references_share_no_table():
+    cfg = harness.ScenarioConfig(
+        h_s=0.1, N=12, scenario="tracking", reference_type="yaw_ramp"
+    )
+    grid = varint.GridSpec(cfg.h_s, cfg.N)
+    first, second = harness.build_reference(cfg), harness.build_reference(cfg)
+    table = varint.reference_table(first, grid)
+    assert not second._tables
+    other = varint.reference_table(second, grid)
+    assert other[0] is not table[0] and other[1] is not table[1]
+    np.testing.assert_array_equal(other[0], table[0])
+
+
 def test_run_scenario_revalidates():
     bad = replace(_small_stabilization(), N=0)
     with pytest.raises(harness.ValidationError, match="grid.N"):
@@ -242,6 +300,20 @@ def test_csv_schema_and_reparse(tmp_path):
     np.testing.assert_allclose(data, report.records, rtol=0.0, atol=1e-12)
     # 17 significant digits means the roundtrip is exact
     assert np.abs(data - report.records).max() == 0.0
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -1.0 / 3.0]
+    records = np.resize(np.array(values), (3, len(harness.CSV_COLUMNS)))
+    report = harness.RunReport(
+        config=_small_stabilization(), records=records, frob_err=np.zeros(3)
+    )
+    path = tmp_path / "special.csv"
+    harness.export_csv(report, str(path))
+    lines = [",".join(harness.CSV_COLUMNS)]
+    for row in records:
+        lines.append(",".join(f"{value:.17g}" for value in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_csv_header_only_for_empty_report(tmp_path):

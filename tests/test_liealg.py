@@ -67,6 +67,33 @@ def test_cay_inv_roundtrip():
     np.testing.assert_allclose(la.cay_inv(la.cay(x)), x, rtol=1e-9, atol=1e-11)
 
 
+def _cay_inv_by_solve(r):
+    # the linear-solve form hat(x) = (r - I)(r + I)^{-1}, kept as the oracle
+    # of the closed form
+    rpi = r + np.eye(3)
+    xh = np.swapaxes(
+        np.linalg.solve(np.swapaxes(rpi, -1, -2), np.swapaxes(r - np.eye(3), -1, -2)),
+        -1, -2,
+    )
+    return la.vee(0.5 * (xh - np.swapaxes(xh, -1, -2)), tol=None)
+
+
+def test_cay_inv_closed_form_matches_solve_form():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((2000, 3))
+    x *= (10.0 * rng.random(2000) / np.linalg.norm(x, axis=1))[:, None]
+    r = la.cay(x)
+    closed = la.cay_inv(r)
+    oracle = _cay_inv_by_solve(r)
+    scale = 1.0 + np.abs(oracle).max(axis=-1, keepdims=True)
+    assert (np.abs(closed - oracle) / scale).max() < 1e-13
+    # the chart guard: on SO(3), det(r + I) = 2 (1 + tr r)
+    trace = np.trace(r, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(
+        np.linalg.det(r + np.eye(3)), 2.0 * (1.0 + trace), rtol=0, atol=1e-12
+    )
+
+
 def test_cay_inv_out_of_chart_at_pi():
     r = la.exp_so3(np.pi * np.array([0.0, 0.0, 1.0]))
     with pytest.raises(la.OutOfChart):

@@ -268,6 +268,29 @@ def test_newton_converges_on_tilted_start():
     assert traj.knots[0].u == bc.u0
 
 
+def test_solve_and_cost_build_no_knot_objects(monkeypatch):
+    # the hot path runs on stacks: knot objects appear only when read
+    built = []
+    post_init = varint.DiscreteKnot.__post_init__
+    monkeypatch.setattr(
+        varint.DiscreteKnot, "__post_init__",
+        lambda knot: built.append(1) or post_init(knot),
+    )
+    n, h = 10, 0.02
+    prob = _problem(n, h, ref=_yaw_ramp_reference(0.3, n * h))
+    bc = _tilted_bc(angle=0.2, mode="free_terminal")
+    guess = solver.initial_guess(bc, prob.ref, prob.grid)
+    traj, _ = solver.newton_solve(prob, guess, bc)
+    v = solver.pack(traj)
+    cost = varint.extended_cost(
+        prob.w, prob.ref, prob.model, prob.act, solver.unpack(traj, v + 1e-3)
+    )
+    assert np.isfinite(cost)
+    assert not built
+    assert len(traj.knots) == n + 1
+    assert len(built) == n + 1
+
+
 def test_newton_already_converged_takes_no_steps():
     n, h = 10, 0.02
     prob = _problem(n, h)

@@ -103,6 +103,100 @@ def test_trajectory_from_arrays_roundtrip():
     np.testing.assert_array_equal(rebuilt.lam_stack(), traj.lam_stack())
 
 
+def _stacks(traj):
+    return (traj.g_stack(), traj.Pi_stack(), traj.u_stack(), traj.tau_stack(),
+            traj.lam_stack(), traj.mu_stack())
+
+
+def test_trajectory_from_arrays_builds_knots_lazily_from_the_stacks():
+    rng = np.random.default_rng(8)
+    source = _random_trajectory(rng, n=4, h=0.1)
+    traj = varint.trajectory_from_arrays(source.grid, *_stacks(source))
+    assert "knots" not in vars(traj) and "multipliers" not in vars(traj)
+    g, Pi, u, tau, lam, mu = _stacks(traj)
+    assert len(traj.knots) == 5 and len(traj.multipliers) == 4
+    assert traj.knots is traj.knots  # built once
+    for k, knot in enumerate(traj.knots):
+        np.testing.assert_array_equal(knot.g, g[k])
+        np.testing.assert_array_equal(knot.Pi, Pi[k])
+        np.testing.assert_array_equal(knot.tau, tau[k])
+        assert knot.u == u[k] and type(knot.u) is float
+    for k, m in enumerate(traj.multipliers):
+        np.testing.assert_array_equal(m.lam, lam[k])
+        np.testing.assert_array_equal(m.mu, mu[k])
+
+
+def test_trajectory_stacks_are_copies_of_read_only_storage():
+    rng = np.random.default_rng(9)
+    source = _random_trajectory(rng, n=3, h=0.1)
+    stacks = _stacks(source)
+    traj = varint.trajectory_from_arrays(source.grid, *stacks)
+    for a in stacks:  # the caller's arrays are copied in
+        a[...] = 7.0
+    before = _stacks(traj)
+    for a in _stacks(traj):  # and the returned stacks are copies
+        a[...] = -3.0
+    for a, b, c in zip(before, _stacks(traj), _stacks(source)):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(b, c)
+    with pytest.raises(ValueError):
+        traj.knots[0].g[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        traj.grid = varint.GridSpec(h=0.2, n=3)
+
+
+@pytest.mark.parametrize("field, index, value, message", [
+    ("tau", (2, 1), np.nan, "knot must be finite"),
+    ("lam", (1, 0), np.inf, "multipliers must be finite"),
+    ("g", None, np.zeros((4, 3, 2)), "knot shapes"),
+    ("u", None, np.zeros((4, 1)), "knot shapes"),
+    ("Pi", None, np.zeros((3, 3)), "knot shapes"),
+    ("mu", None, np.zeros((4, 3)), "multipliers must be 3-vectors"),
+])
+def test_trajectory_from_arrays_rejects_bad_stacks(field, index, value, message):
+    rng = np.random.default_rng(10)
+    source = _random_trajectory(rng, n=3, h=0.1)
+    names = ("g", "Pi", "u", "tau", "lam", "mu")
+    stacks = dict(zip(names, _stacks(source)))
+    if index is None:
+        stacks[field] = value
+    else:
+        stacks[field][index] = value
+    with pytest.raises(ValueError, match=message):
+        varint.trajectory_from_arrays(source.grid, *(stacks[n] for n in names))
+
+
+def test_reference_table_is_sampled_once_per_grid():
+    ref = _time_varying_reference()
+    grid = varint.GridSpec(h=0.05, n=6)
+    g_d, Pi_d = varint.reference_table(ref, grid, 0.2)
+    again = varint.reference_table(ref, grid, 0.2)
+    assert again[0] is g_d and again[1] is Pi_d
+    assert not g_d.flags.writeable and not Pi_d.flags.writeable
+    for k in range(grid.n + 1):
+        g, Pi = ref.sample(0.2 + k * grid.h)
+        np.testing.assert_array_equal(g_d[k], g)
+        np.testing.assert_array_equal(Pi_d[k], Pi)
+    shifted = varint.reference_table(ref, grid, 0.3)
+    finer = varint.reference_table(ref, varint.GridSpec(h=0.025, n=6), 0.2)
+    longer = varint.reference_table(ref, varint.GridSpec(h=0.05, n=7), 0.2)
+    for other in (shifted, finer):
+        assert not np.array_equal(other[0][1:], g_d[1:])
+    assert longer[0].shape == (8, 3, 3)
+    np.testing.assert_array_equal(longer[0][:7], g_d)
+
+
+def test_reference_table_rejects_an_off_group_attitude():
+    skewed = np.eye(3)
+    skewed[0, 1] = 1e-5  # orthonormality defect about 1.4e-5
+    ref = ocp.Reference(
+        g_d=lambda t: skewed if t > 0.1 else np.eye(3), Pi_d=lambda t: np.zeros(3)
+    )
+    with pytest.raises(la.TooFarFromGroup):
+        varint.reference_table(ref, varint.GridSpec(h=0.05, n=4))
+    assert not ref._tables
+
+
 def test_free_dlp_step_axis_spin_is_stationary():
     # spin on the symmetry axis: the implicit solve returns the same rate
     # every step and the attitude advances by a fixed increment
