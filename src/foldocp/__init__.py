@@ -3,7 +3,9 @@
 Layers: liealg (group/algebra primitives), plant (forced rigid-body model with
 control-dependent inertia), ocp (continuous necessary conditions), varint
 (variational discretization and discrete KKT system), solver (Newton/marching
-solvers), harness (config, scenarios, CSV/SVG output, CLI).
+solvers), harness (config, scenarios, CSV/SVG output, CLI). published holds
+the as-published componentwise forms for comparison; it is imported on
+demand, not here.
 """
 
 __version__ = "0.1.0"

@@ -197,7 +197,8 @@ def _check(config):
             "costates.p_Pi0 and costates.p_xi0 are required for "
             "boundary_mode initial_costate"
         )
-    if not (isinstance(c.continuation_stages, int) and c.continuation_stages >= 1):
+    stages = c.continuation_stages
+    if not (isinstance(stages, int) and not isinstance(stages, bool) and stages >= 1):
         raise ValidationError("continuation_stages must be an integer >= 1")
     if not (isinstance(c.seed, int) and not isinstance(c.seed, bool) and c.seed >= 0):
         raise ValidationError("seed must be a nonnegative integer")
@@ -664,6 +665,9 @@ def _check_cay_orthogonality(config):
 
 
 def _check_dcay_deviation(config):
+    # imported on demand: the package import leaves the published forms out
+    from . import published
+
     rng = np.random.default_rng(config.seed + 1)
     worst_fd = 0.0
     table = []
@@ -682,7 +686,7 @@ def _check_dcay_deviation(config):
                 worst_fd,
                 np.linalg.norm(exact - fd_vec) / max(1.0, np.linalg.norm(exact)),
             )
-            paper = liealg.dcay_paper_matrix(x) @ v
+            paper = published.dcay_paper_matrix(x) @ v
             dev = max(dev, np.abs(exact - paper).max())
         table.append({"norm_bound": bound, "max_deviation": float(dev)})
     return {
@@ -823,6 +827,24 @@ def _check_tau_elimination(config):
     return {"pass": bool(worst < 1e-10), "max_gap": float(worst)}
 
 
+def _random_trajectory(rng, grid, g0, tau_scale, step_scale, lam_scale):
+    """Random trajectory from attitude g0 for the diagnostics. Normals are
+    drawn knot by knot (Pi, u, tau, attitude step; the last step unused),
+    then interval by interval (lam, mu)."""
+    n = grid.n
+    z = rng.normal(size=(n + 1, 11))
+    m = rng.normal(size=(n, 6))
+    steps = liealg.retract(z[:-1, 8:] * step_scale)
+    g = np.empty((n + 1, 3, 3))
+    g[0] = g0
+    for k in range(n):
+        g[k + 1] = g[k] @ steps[k]
+    return varint.trajectory_from_arrays(
+        grid, g, z[:, :3] * 0.1, 0.5 + 0.1 * z[:, 3], z[:, 4:8] * tau_scale,
+        m[:, :3] * lam_scale, m[:, 3:] * 0.1,
+    )
+
+
 def _check_regularity(config):
     w, model, act = build_models(config)
     h_values = (0.04, 0.02, 0.01, 0.005)
@@ -830,23 +852,7 @@ def _check_regularity(config):
     rng = np.random.default_rng(config.seed + 3)
     for h in h_values:
         grid = varint.GridSpec(h=h, n=6)
-        knots = []
-        g = np.eye(3)
-        for _ in range(7):
-            knots.append(
-                varint.DiscreteKnot(
-                    g=g,
-                    Pi=rng.normal(size=3) * 0.1,
-                    u=0.5 + 0.1 * rng.normal(),
-                    tau=rng.normal(size=4) * 0.05,
-                )
-            )
-            g = g @ liealg.retract(rng.normal(size=3) * 0.02)
-        mults = [
-            varint.Multipliers(rng.normal(size=3) * h, rng.normal(size=3) * 0.1)
-            for _ in range(6)
-        ]
-        traj = varint.DiscreteTrajectory(grid, knots, mults)
+        traj = _random_trajectory(rng, grid, np.eye(3), 0.05, 0.02, h)
         prob = solver.Problem(w, ocp.constant_reference(), model, act, grid)
         value, _ = solver.regularity_check(prob, traj, 3)
         measured.append(value)
@@ -862,27 +868,13 @@ def _check_regularity(config):
 
 
 def _check_kkt_paper_forms(config):
+    from . import published  # on demand, as in _check_dcay_deviation
+
     w, model, act = build_models(config)
     rng = np.random.default_rng(config.seed + 4)
-    grid = varint.GridSpec(h=0.02, n=5)
-    knots = []
-    g = liealg.exp_so3(rng.normal(size=3) * 0.2)
-    for _ in range(6):
-        knots.append(
-            varint.DiscreteKnot(
-                g=g,
-                Pi=rng.normal(size=3) * 0.1,
-                u=0.5 + 0.1 * rng.normal(),
-                tau=rng.normal(size=4) * 0.1,
-            )
-        )
-        g = g @ liealg.retract(rng.normal(size=3) * 0.03)
-    mults = [
-        varint.Multipliers(rng.normal(size=3) * 0.02, rng.normal(size=3) * 0.1)
-        for _ in range(5)
-    ]
-    traj = varint.DiscreteTrajectory(grid, knots, mults)
-    out = varint.kkt_residuals_paper(w, ocp.constant_reference(), model, act, traj)
+    g0 = liealg.exp_so3(rng.normal(size=3) * 0.2)
+    traj = _random_trajectory(rng, varint.GridSpec(h=0.02, n=5), g0, 0.1, 0.03, 0.02)
+    out = published.kkt_residuals_paper(w, ocp.constant_reference(), model, act, traj)
     # informational: the published componentwise rows deviate from the exact
     # derivative everywhere except the rotor block; report, don't gate
     return {"pass": True, "deviations": dict(out["report"])}

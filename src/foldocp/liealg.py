@@ -149,13 +149,6 @@ def dcay_inv(x, w):
     return w - np.cross(x, w) + x * (x * w).sum(axis=-1)[..., None]
 
 
-def dcay_paper_matrix(x):
-    """Closed-form raw tangent matrix 2*s*(I + hat(x)), s = 1/(1 + |x|^2)."""
-    x = np.asarray(x, dtype=float)
-    s = 1.0 / (1.0 + (x * x).sum(axis=-1))
-    return 2.0 * s[..., None, None] * (_EYE + hat(x))
-
-
 def dcay_exact(x, v):
     """Raw right-trivialized derivative of cay by matrix calculus.
 

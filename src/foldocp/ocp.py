@@ -2,11 +2,9 @@
 
 Running cost, Pontryagin function, closed-form torque elimination, costate
 equations, and the assembled first-order boundary-value field with an RK4
-shooting integrator.  Expanded per-component variants of several right-hand
-sides are kept alongside the derivative-based implementations; where the two
-disagree, the derivative-based form (pinned by finite differences of the
-Pontryagin function) is authoritative and the mismatch is characterized in
-the tests rather than hidden.
+shooting integrator.  Every rate is the derivative-based form, pinned by
+finite differences of the Pontryagin function; the as-published expanded
+variants live in `published`.
 """
 
 from dataclasses import dataclass, field
@@ -132,9 +130,11 @@ def running_cost(w, ref, t, g, Pi, u, u_dot, tau):
 
 
 def tau_star(w, act, p_Pi, u):
-    """Thrusts making the Pontryagin function stationary: -B(u)^T p_Pi / c2."""
+    """Thrusts making the Pontryagin function stationary: -B(u)^T p_Pi / c2.
+    Broadcasts over a stack of fold angles u (...) with p_Pi (..., 3)."""
     b = plant.torque_matrix(act, u)
-    return -(b.T @ np.asarray(p_Pi, dtype=float)) / w.c2
+    p = np.asarray(p_Pi, dtype=float)[..., None]
+    return -(np.swapaxes(b, -1, -2) @ p)[..., 0] / w.c2
 
 
 def pontryagin_hamiltonian(w, model, act, ref, t, state, tau, p_u):
@@ -146,38 +146,25 @@ def pontryagin_hamiltonian(w, model, act, ref, t, state, tau, p_u):
     return c + float(state.p_Pi @ f) + float(state.p_xi @ xi) + float(p_u) * state.u_dot
 
 
+def _coupling(i_inv, Pi):
+    return i_inv[:, None] * liealg.hat(Pi) - liealg.hat(i_inv * Pi)
+
+
 def A_matrix(model, u, Pi):
     """Coupling matrix of the momentum costate rate, I^-1 hat(Pi) - hat(I^-1 Pi);
     entries follow the (I_i^-1 - I_j^-1) Pi_k pattern."""
-    Pi = np.asarray(Pi, dtype=float)
-    i_inv = 1.0 / plant.inertia_diag(model, u)
-    return i_inv[:, None] * liealg.hat(Pi) - liealg.hat(i_inv * Pi)
+    return _coupling(1.0 / plant.inertia_diag(model, u), np.asarray(Pi, dtype=float))
+
+
+def _pPi_rate(w, ref, t, i_inv, Pi, p_Pi, p_xi):
+    d_Pi = Pi - np.asarray(ref.Pi_d(t), dtype=float)
+    return -w.c4 * d_Pi + _coupling(i_inv, Pi) @ p_Pi - i_inv * p_xi
 
 
 def pPi_rhs(w, model, ref, t, state):
     """Momentum costate rate -c4 (Pi - Pi_d) + A p_Pi - I^-1 p_xi."""
     i_inv = 1.0 / plant.inertia_diag(model, state.u)
-    d_Pi = state.Pi - np.asarray(ref.Pi_d(t), dtype=float)
-    return -w.c4 * d_Pi + A_matrix(model, state.u, state.Pi) @ state.p_Pi - i_inv * state.p_xi
-
-
-def pPi_rhs_componentwise(w, model, ref, t, state):
-    """Expanded per-component variant of the momentum costate rate.  Its
-    inertia-difference terms pair the momentum indices differently from
-    `pPi_rhs` (the finite-difference-validated form); kept as a cross-check
-    and exercised, not asserted equal, in the tests."""
-    a1, a2, a3 = 1.0 / plant.inertia_diag(model, state.u)
-    q1, q2, q3 = state.Pi
-    p1, p2, p3 = state.p_Pi
-    x1, x2, x3 = state.p_xi
-    d1, d2, d3 = state.Pi - np.asarray(ref.Pi_d(t), dtype=float)
-    return np.array(
-        [
-            p2 * (a2 - a1) * q2 + p3 * (a1 - a3) * q3 - x1 * a1 - w.c4 * d1,
-            p1 * (a1 - a2) * q1 - p3 * (a2 - a3) * q3 - x2 * a2 - w.c4 * d2,
-            -p1 * (a1 - a3) * q1 + p2 * (a2 - a3) * q2 - x3 * a3 - w.c4 * d3,
-        ]
-    )
+    return _pPi_rate(w, ref, t, i_inv, state.Pi, state.p_Pi, state.p_xi)
 
 
 def pXi_rhs(w, g, xi, p_xi, ref, t):
@@ -187,17 +174,10 @@ def pXi_rhs(w, g, xi, p_xi, ref, t):
     return -w.c3 * grad + liealg.coad(xi, np.asarray(p_xi, dtype=float))
 
 
-def pXi_rhs_trace_form(w, g, xi, p_xi, ref, t):
-    """Trace-pairing variant of the attitude costate rate, evaluated against the
-    standard basis.  Its gradient term carries the opposite sign from `pXi_rhs`
-    (the finite-difference-validated form); kept as a cross-check."""
-    m = np.asarray(ref.g_d(t), dtype=float).T @ np.asarray(g, dtype=float)
-    out = np.empty(3)
-    for i in range(3):
-        eta = np.zeros(3)
-        eta[i] = 1.0
-        out[i] = -2.0 * w.c3 * np.trace(m @ liealg.hat(eta) @ m)
-    return out + liealg.coad(xi, np.asarray(p_xi, dtype=float))
+def _u_accel(w, model, act, u, Pi, p_Pi, p_xi, tau):
+    db = plant.d_torque_matrix_du(act, u)
+    di = plant.d_inertia_inv_du_diag(model, u) * Pi
+    return (p_Pi @ (db @ tau) - p_Pi @ np.cross(di, Pi) + p_xi @ di) / w.c1
 
 
 def u_ddot(w, model, act, state, tau=None):
@@ -208,50 +188,10 @@ def u_ddot(w, model, act, state, tau=None):
         raise RegularityViolation("c1 = 0 removes the second-order u dynamics")
     if tau is None:
         tau = tau_star(w, act, state.p_Pi, state.u)
-    db = plant.d_torque_matrix_du(act, state.u)
-    di = plant.d_inertia_inv_du_diag(model, state.u) * state.Pi
-    return float(
-        state.p_Pi @ (db @ np.asarray(tau, dtype=float))
-        - state.p_Pi @ np.cross(di, state.Pi)
-        + state.p_xi @ di
-    ) / w.c1
-
-
-def u_ddot_componentwise(model, state):
-    """Expanded variant of the fold acceleration.  Relative to `u_ddot` (the
-    finite-difference-validated form) it omits the thrust-map derivative term,
-    flips the sign of both inertia terms, and drops the 1/c1 factor; kept as a
-    cross-check."""
-    d1, d2, d3 = plant.d_inertia_inv_du_diag(model, state.u)
-    q1, q2, q3 = state.Pi
-    p1, p2, p3 = state.p_Pi
-    x1, x2, x3 = state.p_xi
-    return (
-        p1 * (d2 * q2 * q3 - d3 * q3 * q2)
-        - x1 * d1 * q1
-        + p2 * (d3 * q3 * q1 - d1 * q1 * q3)
-        - x2 * d2 * q2
-        + p3 * (d1 * q1 * q2 - d2 * q2 * q1)
-        - x3 * d3 * q3
-    )
-
-
-def tau_star_componentwise(w, act, p_Pi, u):
-    """Expanded per-thrust variant of the eliminated control.  Differs from
-    `tau_star` (the stationarity solution) by an overall sign; kept as a
-    cross-check."""
-    p1, p2, p3 = np.asarray(p_Pi, dtype=float)
-    s = act.l * act.kappa1 * np.sin(u)
-    c = act.l * act.kappa1 * np.cos(u)
-    z = act.l * act.kappa2
-    return np.array(
-        [
-            (-p1 * s + p2 * c + p3 * z) / w.c2,
-            (p1 * s + p2 * c - p3 * z) / w.c2,
-            (p1 * s - p2 * c + p3 * z) / w.c2,
-            -(p1 * s + p2 * c + p3 * z) / w.c2,
-        ]
-    )
+    return float(_u_accel(
+        w, model, act, state.u, state.Pi, state.p_Pi, state.p_xi,
+        np.asarray(tau, dtype=float),
+    ))
 
 
 def first_constraint_check(w, act, state, tau, p_u):
@@ -268,17 +208,14 @@ def _field(w, model, act, ref, t, g, Pi, u, u_dot, p_Pi, p_xi):
     i_inv = 1.0 / plant.inertia_diag(model, u)
     xi = i_inv * Pi
     tau = tau_star(w, act, p_Pi, u)
-    g_dot = g @ liealg.hat(xi)
-    Pi_dot = plant.lie_poisson_rhs(model, act, Pi, u, tau)
-
-    db = plant.d_torque_matrix_du(act, u)
-    di = plant.d_inertia_inv_du_diag(model, u) * Pi
-    u_dd = (p_Pi @ (db @ tau) - p_Pi @ np.cross(di, Pi) + p_xi @ di) / w.c1
-
-    a = i_inv[:, None] * liealg.hat(Pi) - liealg.hat(i_inv * Pi)
-    p_Pi_dot = -w.c4 * (Pi - np.asarray(ref.Pi_d(t), dtype=float)) + a @ p_Pi - i_inv * p_xi
-    p_xi_dot = -w.c3 * attitude_cost_gradient(g, ref.g_d(t)) + liealg.coad(xi, p_xi)
-    return g_dot, Pi_dot, u_dot, u_dd, p_Pi_dot, p_xi_dot
+    return (
+        g @ liealg.hat(xi),
+        plant.lie_poisson_rhs(model, act, Pi, u, tau),
+        u_dot,
+        _u_accel(w, model, act, u, Pi, p_Pi, p_xi, tau),
+        _pPi_rate(w, ref, t, i_inv, Pi, p_Pi, p_xi),
+        pXi_rhs(w, g, xi, p_xi, ref, t),
+    )
 
 
 def necessary_rhs(w, model, act, ref, t, state):

@@ -9,9 +9,8 @@ hold stacks, are built only for unpack and the returned solutions. The
 attitude block is re-centered every Newton iterate so increments stay small.
 The Jacobian is central finite differences over structurally independent
 column groups, all 90 perturbed copies evaluated in one batched residual
-call, and factored sparse; a dense single-column sweep is kept as the
-correctness reference. Marching windows build their dense Jacobian from one
-batched call the same way.
+call, and factored sparse. Marching windows build their dense Jacobian from
+one batched call the same way. Every attitude chart is the Cayley one.
 """
 
 import functools
@@ -163,7 +162,7 @@ def _rows(v, n):
     return rows.reshape(batch + (n + 1, _PAIR_WIDTH))
 
 
-def _attitudes(g, delta, method="cay"):
+def _attitudes(g, delta):
     """g_k retract(delta_k) for every knot of delta (..., n+1, 3); OutOfChart
     names the first knot whose increment reaches the chart radius in any
     copy of a batch."""
@@ -175,7 +174,7 @@ def _attitudes(g, delta, method="cay"):
         raise liealg.OutOfChart(
             f"attitude increment {worst[k]:.3f} at knot {k} leaves the chart"
         )
-    return g @ liealg.retract(delta, method)
+    return g @ liealg.retract(delta)
 
 
 def _trajectory(grid, g, rows):
@@ -197,7 +196,7 @@ def pack(traj):
     return rows.ravel()[:_total_size(n)]
 
 
-def unpack(base_traj, v, method="cay"):
+def unpack(base_traj, v):
     """Rebuild a trajectory from a flat vector around base_traj's attitudes.
 
     g_k <- g_k retract(delta_k); all other fields are taken verbatim.
@@ -208,7 +207,7 @@ def unpack(base_traj, v, method="cay"):
     if v.shape != (_total_size(n),):
         raise ValueError(f"expected a flat vector of length {_total_size(n)}")
     rows = _rows(v, n)
-    g = _attitudes(base_traj.g_stack(), rows[:, :3], method)
+    g = _attitudes(base_traj.g_stack(), rows[:, :3])
     return _trajectory(base_traj.grid, g, rows)
 
 
@@ -232,7 +231,7 @@ def _masks(n, mode):
     return rows, cols
 
 
-def _full_residual(prob, g, v, bc=None, method="cay", t0=0.0):
+def _full_residual(prob, g, v, bc=None, t0=0.0):
     """Stationarity and feasibility rows, packed like the unknowns, at the
     knots g_k retract(delta_k) described by (g, v). v is one packed vector or
     a stack (..., size) of them around the same g; the rows come back in
@@ -242,10 +241,10 @@ def _full_residual(prob, g, v, bc=None, method="cay", t0=0.0):
     h = prob.grid.h
     rows = _rows(v, n)
     out = varint._kernel(
-        prob.model, prob.act, h, _attitudes(g, rows[..., :3], method),
-        rows[..., 3:6], rows[..., 6], rows[..., 7:11], method,
-        prob.w, rows[..., :-1, 11:14], rows[..., :-1, 14:17],
-        varint.reference_table(prob.ref, varint.GridSpec(h=h, n=n), t0),
+        prob.model, prob.act, h, _attitudes(g, rows[..., :3]),
+        rows[..., 3:6], rows[..., 6], rows[..., 7:11],
+        w=prob.w, lam=rows[..., :-1, 11:14], mu=rows[..., :-1, 14:17],
+        ref_table=varint.reference_table(prob.ref, varint.GridSpec(h=h, n=n), t0),
     )
     r = np.zeros(rows.shape)
     r[..., 0:3] = out["d_g"]
@@ -262,15 +261,15 @@ def _full_residual(prob, g, v, bc=None, method="cay", t0=0.0):
     return r
 
 
-def assemble_residual(prob, traj, bc, method="cay"):
+def assemble_residual(prob, traj, bc):
     """Square residual under the boundary closure; zero iff the discrete
     necessary conditions hold."""
     rows, _ = _masks(prob.grid.n, bc.mode)
-    return _full_residual(prob, traj.g_stack(), pack(traj), bc, method)[rows]
+    return _full_residual(prob, traj.g_stack(), pack(traj), bc)[rows]
 
 
 # ---------------------------------------------------------------------------
-# finite-difference Jacobian (colored sparse default, dense reference)
+# finite-difference Jacobian (colored, sparse)
 
 
 @functools.lru_cache(maxsize=16)
@@ -308,7 +307,7 @@ def _coloring(n, mode):
     return arrays
 
 
-def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True):
+def jacobian_fd(prob, base, bc, cfg=None):
     """Central-difference Jacobian of the square residual at base.
 
     base is the pair (g, v): the (n+1, 3, 3) attitude stack and a packed
@@ -319,33 +318,17 @@ def jacobian_fd(prob, base, bc, cfg=None, method="cay", colored=True):
     evaluated as one batch in a single residual call, regardless of the
     grid size; entries are scattered through index arrays built once per
     (n, boundary mode).
-    colored=False evaluates one column at a time and returns a dense array
-    -- the reference path.
     """
     cfg = cfg or SolverConfig()
     g, v = base
     eps = cfg.fd_epsilon * (1.0 + np.abs(v))
-    if not colored:
-        rows_mask, cols_mask = _masks(prob.grid.n, bc.mode)
-        free = np.flatnonzero(cols_mask)
-        dense = np.zeros((free.size, free.size))
-        for i, j in enumerate(free):
-            vp = v.copy()
-            vm = v.copy()
-            vp[j] += eps[j]
-            vm[j] -= eps[j]
-            d = (_full_residual(prob, g, vp, bc, method)
-                 - _full_residual(prob, g, vm, bc, method))
-            dense[:, i] = d[rows_mask] / (2.0 * eps[j])
-        return dense
-
     free, group, entry_group, entry_row, entry_col, row, col = _coloring(
         prob.grid.n, bc.mode
     )
     copies = np.tile(v, (2, group.max() + 1, 1))
     copies[0, group, free] += eps[free]
     copies[1, group, free] -= eps[free]
-    r = _full_residual(prob, g, copies, bc, method)
+    r = _full_residual(prob, g, copies, bc)
     d = r[0] - r[1]
     data = d[entry_group, entry_row] / (2.0 * eps[entry_col])
     m = free.size
@@ -388,7 +371,7 @@ def _project_bc(traj, bc, grid):
     return g, v
 
 
-def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
+def newton_solve(prob, traj0, bc, cfg=None):
     """Damped Newton on the square stationarity system.
 
     Returns (trajectory, report); the report carries the iteration count,
@@ -406,7 +389,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
     n = prob.grid.n
     rows_mask, cols_mask = _masks(n, bc.mode)
     g, v = _project_bc(traj0, bc, prob.grid)
-    r = _full_residual(prob, g, v, bc, method)[rows_mask]
+    r = _full_residual(prob, g, v, bc)[rows_mask]
     residuals = [float(np.abs(r).max())]
     step_norms = []
     factored = None
@@ -416,7 +399,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
             raise varint.NoConvergence(
                 f"residual {residuals[-1]:.3e} after {cfg.max_iter} iterations"
             )
-        jac = jacobian_fd(prob, (g, v), bc, cfg, method)
+        jac = jacobian_fd(prob, (g, v), bc, cfg)
         try:
             lu = splu(jac)
         except RuntimeError as exc:
@@ -432,7 +415,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
         while True:
             trial = v + t * dv
             try:
-                r_t = _full_residual(prob, g, trial, bc, method)[rows_mask]
+                r_t = _full_residual(prob, g, trial, bc)[rows_mask]
                 if 0.5 * float(r_t @ r_t) <= merit0 * (
                     1.0 - 2.0 * cfg.armijo_c * t
                 ):
@@ -444,7 +427,7 @@ def newton_solve(prob, traj0, bc, cfg=None, method="cay"):
                 raise varint.NoConvergence("line search stalled below min step")
         # re-center: fold the accepted increments into the attitude stack
         rows = _rows(trial, n)
-        g = _attitudes(g, rows[:, :3], method)
+        g = _attitudes(g, rows[:, :3])
         rows[:, :3] = 0.0
         v = rows.ravel()[:v.size]
         r = r_t
@@ -493,10 +476,10 @@ def initial_guess(bc, ref, grid):
     )
 
 
-def _blend_bc(bc, s, g_ref, Pi_ref, method):
-    x = liealg.retract_inv(g_ref.T @ bc.g0, method)
+def _blend_bc(bc, s, g_ref, Pi_ref):
+    x = liealg.retract_inv(g_ref.T @ bc.g0)
     changes = {
-        "g0": g_ref @ liealg.retract(s * x, method),
+        "g0": g_ref @ liealg.retract(s * x),
         "Pi0": (1.0 - s) * Pi_ref + s * bc.Pi0,
     }
     if bc.mode == "initial_costate":
@@ -506,7 +489,7 @@ def _blend_bc(bc, s, g_ref, Pi_ref, method):
     return replace(bc, **changes)
 
 
-def continuation_solve(prob, bc, cfg=None, method="cay", stages=4, guess=None):
+def continuation_solve(prob, bc, cfg=None, stages=4):
     """newton_solve driven along a blend from the reference state to bc.
 
     Strongly tilted initial states can push plain Newton through a
@@ -529,17 +512,17 @@ def continuation_solve(prob, bc, cfg=None, method="cay", stages=4, guess=None):
             raise ValueError("an explicit stage schedule must end at 1.0")
     g_ref = np.asarray(prob.ref.g_d(0.0), dtype=float)
     Pi_ref = np.asarray(prob.ref.Pi_d(0.0), dtype=float)
-    traj = guess
+    traj = None
     schedule = []
     budget = max(8, 3 * len(queue))
     s_prev = 0.0
     while queue:
         s = queue[0]
-        bc_s = bc if s >= 1.0 else _blend_bc(bc, s, g_ref, Pi_ref, method)
+        bc_s = bc if s >= 1.0 else _blend_bc(bc, s, g_ref, Pi_ref)
         start = traj if traj is not None else initial_guess(bc_s, prob.ref, prob.grid)
         budget -= 1
         try:
-            traj, report = newton_solve(prob, start, bc_s, cfg, method)
+            traj, report = newton_solve(prob, start, bc_s, cfg)
         except varint.NoConvergence:
             if budget <= 0 or s - s_prev < 1.0 / 64.0:
                 raise varint.NoConvergence(
@@ -584,7 +567,7 @@ def block_from_trajectory(traj, k):
     return IntervalBlock(k, traj.knots[k], traj.knots[k + 1], m.lam, m.mu)
 
 
-def step_map(prob, block, cfg=None, method="cay", lookahead=1):
+def step_map(prob, block, cfg=None, lookahead=1):
     """Advance the interface map one interval.
 
     Given (knot_k, knot_{k+1}, lam_k, mu_k), produce (lam_{k+1}, mu_{k+1})
@@ -623,10 +606,10 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
     closes = block.k + width + 1 == prob.grid.n
     t0 = block.k * h
 
-    x_step = liealg.retract_inv(a.g.T @ b.g, method)
+    x_step = liealg.retract_inv(a.g.T @ b.g)
     base_g = [a.g, b.g]
     for _ in range(width):
-        base_g.append(base_g[-1] @ liealg.retract(x_step, method))
+        base_g.append(base_g[-1] @ liealg.retract(x_step))
     base_g = np.stack(base_g)
 
     # The window's packed vector is head + z: knots a, b and the interval-0
@@ -643,7 +626,7 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
         # z is one unknown vector or a batch (B, z.size) of them
         batch = z.shape[:-1]
         v = np.concatenate([np.broadcast_to(head, batch + head.shape), z], axis=-1)
-        r = _full_residual(prob, base_g, v, None, method, t0)
+        r = _full_residual(prob, base_g, v, t0=t0)
         parts = [
             r[..., ahead],
             z.reshape(batch + (width, _PAIR_WIDTH))[..., 13:17].sum(axis=-1),
@@ -710,7 +693,7 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
         raise varint.NoConvergence("committed interface rows stalled above tolerance")
     z = z[:_PAIR_WIDTH]
     knot = varint.DiscreteKnot(
-        g=base_g[2] @ liealg.retract(z[6:9], method),
+        g=base_g[2] @ liealg.retract(z[6:9]),
         Pi=z[9:12],
         u=float(z[12]),
         tau=z[13:17],
@@ -718,7 +701,7 @@ def step_map(prob, block, cfg=None, method="cay", lookahead=1):
     return IntervalBlock(block.k + 1, b, knot, z[0:3], z[3:6])
 
 
-def march(prob, block0, cfg=None, method="cay", lookahead=3):
+def march(prob, block0, cfg=None, lookahead=3):
     """Iterate step_map across the whole grid from the interval-0 block.
 
     The default lookahead keeps the recursion stable (see step_map); every
@@ -730,13 +713,17 @@ def march(prob, block0, cfg=None, method="cay", lookahead=3):
     mults = [varint.Multipliers(block0.lam, block0.mu)]
     block = block0
     for _ in range(prob.grid.n - 1):
-        block = step_map(prob, block, cfg, method, lookahead)
+        block = step_map(prob, block, cfg, lookahead)
         knots.append(block.knot_b)
         mults.append(varint.Multipliers(block.lam, block.mu))
     return varint.DiscreteTrajectory(prob.grid, knots, mults)
 
 
-def regularity_check(prob, traj, k, eps=1e-4):
+# relative fold-angle step of regularity_check's difference quotient
+_REGULARITY_STEP = 1e-4
+
+
+def regularity_check(prob, traj, k):
     """(measured fold-coupling magnitude, predicted |c1|/h) at interval k.
 
     The measured value is the mixed derivative of the extended cost in
@@ -747,7 +734,7 @@ def regularity_check(prob, traj, k, eps=1e-4):
     if not 0 <= k < prob.grid.n:
         raise ValueError("interval index out of range")
 
-    e = eps * (1.0 + abs(traj.knots[k + 1].u))
+    e = _REGULARITY_STEP * (1.0 + abs(traj.u_stack()[k + 1]))
     bumped = np.tile(pack(traj), (2, 1))
     bumped[:, _PAIR_WIDTH * (k + 1) + 6] += (e, -e)
     fold_row = _full_residual(prob, traj.g_stack(), bumped)[:, _PAIR_WIDTH * k + 6]
@@ -755,7 +742,7 @@ def regularity_check(prob, traj, k, eps=1e-4):
     return abs(float(measured)), abs(prob.w.c1) / prob.grid.h
 
 
-def shooting_trajectory(prob, bc, reorth_every=liealg.REORTH_INTERVAL):
+def shooting_trajectory(prob, bc):
     """Integrate the continuous necessary conditions and sample the grid.
 
     Diagnostic mode: knots at the grid times with the closed-form rotor
@@ -775,20 +762,11 @@ def shooting_trajectory(prob, bc, reorth_every=liealg.REORTH_INTERVAL):
     )
     n, h = prob.grid.n, prob.grid.h
     ext = ocp.integrate_necessary(
-        prob.w, prob.model, prob.act, prob.ref, state0, 0.5 * h, 2 * n,
-        reorth_every=reorth_every,
+        prob.w, prob.model, prob.act, prob.ref, state0, 0.5 * h, 2 * n
     )
-    knots = [
-        varint.DiscreteKnot(
-            g=ext.g[2 * k],
-            Pi=ext.Pi[2 * k],
-            u=float(ext.u[2 * k]),
-            tau=ocp.tau_star(prob.w, prob.act, ext.p_Pi[2 * k], float(ext.u[2 * k])),
-        )
-        for k in range(n + 1)
-    ]
-    mults = [
-        varint.Multipliers(lam=h * ext.p_Pi[2 * k + 1], mu=ext.p_xi[2 * k + 1])
-        for k in range(n)
-    ]
-    return varint.DiscreteTrajectory(prob.grid, knots, mults)
+    # even samples are the knots, odd ones the interval midpoints
+    return varint.trajectory_from_arrays(
+        prob.grid, ext.g[::2], ext.Pi[::2], ext.u[::2],
+        ocp.tau_star(prob.w, prob.act, ext.p_Pi[::2], ext.u[::2]),
+        h * ext.p_Pi[1::2], ext.p_xi[1::2],
+    )

@@ -3,11 +3,9 @@
 The forced momentum equation and the reconstruction equation are discretized
 by trapezoidal averaging over each step (residuals Phi1..Phi3 and Phi4); the
 discrete optimal-control conditions are the exact first derivatives of the
-extended cost sum(<lam, Phi123> + <mu, Phi4> - C_d). Every stationarity block
-exists in two forms: a derivative-based one (authoritative; every component
-equals a central finite difference of the extended cost) and a componentwise
-transcription variant kept as a characterized cross-check. Downstream
-consumers (solver, harness) use the derivative-based forms only.
+extended cost sum(<lam, Phi123> + <mu, Phi4> - C_d); every component of a
+stationarity block equals a central finite difference of that cost. The
+as-published componentwise transcription lives in `published`.
 
 The derivative-based residuals and the stationarity blocks are written once,
 in a stacked kernel over all intervals that also evaluates a batch of
@@ -429,30 +427,6 @@ def residual_phi123(model, act, grid, Pi_k, Pi_k1, u_k, u_k1, tau_k, tau_k1):
     )["phi123"][0]
 
 
-def residual_phi123_componentwise(model, act, grid, Pi_k, Pi_k1, u_k, u_k1, tau_k, tau_k1):
-    """Scalar transcription of residual_phi123 via inertia-difference ratios.
-
-    Row i uses -(I_j(u) - I_l(u)) / (2 I_l(u) I_j(u)) * Pi_j Pi_l with (i,j,l)
-    cycling; algebraically identical to the vector form (cross-checked to
-    round-off in tests), kept as an independent code path.
-    """
-    h = grid.h
-    i_k = plant.inertia_diag(model, u_k)
-    i_k1 = plant.inertia_diag(model, u_k1)
-    f_k = plant.body_torque(act, u_k, tau_k)
-    f_k1 = plant.body_torque(act, u_k1, tau_k1)
-    out = np.empty(3)
-    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        out[i] = (
-            (Pi_k1[i] - Pi_k[i]) / h
-            - (i_k[j] - i_k[l]) / (2.0 * i_k[l] * i_k[j]) * Pi_k[j] * Pi_k[l]
-            - (i_k1[j] - i_k1[l]) / (2.0 * i_k1[l] * i_k1[j]) * Pi_k1[j] * Pi_k1[l]
-            - 0.5 * f_k[i]
-            - 0.5 * f_k1[i]
-        )
-    return out
-
-
 def residual_phi4(model, grid, g_k, g_k1, Pi_k, Pi_k1, u_k, u_k1, method="cay"):
     """Reconstruction residual over one interval (3-vector).
 
@@ -568,63 +542,6 @@ def feasible_trajectory(model, act, grid, knot0, u_fn, tau_fn, method="cay"):
 # exact stationarity blocks (first derivatives of extended_cost)
 
 
-def _dretract_inv_matrix(x, method):
-    # matrix of v -> dretract_inv(x, v)
-    x = np.asarray(x, dtype=float)
-    if method == "cay":
-        half = 0.5 * x
-        return np.eye(3) - liealg.hat(half) + np.outer(half, half)
-    cols = liealg.dretract_inv(x[None, :].repeat(3, axis=0), np.eye(3), method)
-    return cols.T
-
-
-def _interval_partials(w, model, act, grid, k, knot_a, knot_b, ref, method, t0=0.0):
-    """Derivatives of <lam, Phi123> + <mu, Phi4> - C_d for one interval.
-
-    Returns per-end dictionaries keyed by the unknown; the g entries are
-    left-trivialized (directional derivative along g retract(s eta)).
-    """
-    h = grid.h
-    out = []
-    x = liealg.retract_inv(knot_a.g.T @ knot_b.g, method)
-    dri = _dretract_inv_matrix(x, method)
-    f_ab = knot_a.g.T @ knot_b.g
-    for end, knot, t in ((0, knot_a, t0 + k * h), (1, knot_b, t0 + (k + 1) * h)):
-        i_d = plant.inertia_diag(model, knot.u)
-        di_inv = plant.d_inertia_inv_du_diag(model, knot.u)
-        omega = knot.Pi / i_d
-        bmat = plant.torque_matrix(act, knot.u)
-        dbmat = plant.d_torque_matrix_du(act, knot.u)
-        sgn = -1.0 if end == 0 else 1.0
-        # d Phi123 / d Pi = sgn/h + (1/2) d(omega x Pi)/dPi
-        m = -liealg.hat(knot.Pi) / i_d[None, :] + liealg.hat(omega)
-        d123_dPi = sgn * np.eye(3) / h + 0.5 * m
-        d123_du = 0.5 * np.cross(di_inv * knot.Pi, knot.Pi) - 0.5 * (dbmat @ knot.tau)
-        d123_dtau = -0.5 * bmat
-        d4_dPi = -0.5 * h * np.diag(1.0 / i_d)
-        d4_du = -0.5 * h * di_inv * knot.Pi
-        g_d, Pi_d = ref.sample(t)
-        du_quot = (knot_b.u - knot_a.u) / h
-        # cost partials (trapezoidal halves carry h/2 weights)
-        dc_dPi = 0.5 * h * w.c4 * (knot.Pi - Pi_d)
-        dc_dtau = 0.5 * h * w.c2 * knot.tau
-        dc_du = sgn * w.c1 * du_quot
-        dc_dg = 0.5 * h * w.c3 * ocp.attitude_cost_gradient(knot.g, g_d)
-        if end == 0:
-            d4_dg = -dri.T
-        else:
-            d4_dg = (dri @ f_ab).T
-        out.append(
-            {
-                "dPi": (d123_dPi, d4_dPi, dc_dPi),
-                "du": (d123_du, d4_du, dc_du),
-                "dtau": (d123_dtau, dc_dtau),
-                "dg": (d4_dg, dc_dg),
-            }
-        )
-    return out
-
-
 def reference_table(ref, grid, t0=0.0):
     """Reference samples at the grid knots: (g_d (n+1, 3, 3), Pi_d (n+1, 3)).
 
@@ -647,8 +564,7 @@ def reference_table(ref, grid, t0=0.0):
     return table
 
 
-def kkt_residuals_exact(w, ref, model, act, traj, method="cay", t0=0.0,
-                        ref_table=None):
+def kkt_residuals_exact(w, ref, model, act, traj, method="cay", t0=0.0):
     """All first derivatives of extended_cost, block by block.
 
     Returns a dict with "d_g", "d_Pi" (n+1, 3), "d_u" (n+1,), "d_tau"
@@ -658,55 +574,16 @@ def kkt_residuals_exact(w, ref, model, act, traj, method="cay", t0=0.0,
     fixed-endpoint problem zeroes the interior state rows, all control rows,
     and both feasibility blocks.
 
-    Both charts run on the stacked kernel; kkt_residuals_loop is the
-    interval-at-a-time test oracle. ref_table optionally carries
-    precomputed reference samples at the knot times.
+    Both charts run on the stacked kernel, with the reference sampled once
+    per grid by reference_table.
     """
-    if ref_table is None:
-        ref_table = reference_table(ref, traj.grid, t0)
+    table = reference_table(ref, traj.grid, t0)
     stacks = _knot_stacks(traj)
     out = _kernel(
-        model, act, traj.grid.h, *stacks, method,
-        w, traj._lam, traj._mu, ref_table,
+        model, act, traj.grid.h, *stacks, method, w, traj._lam, traj._mu, table
     )
-    out["cost"] = _interval_cost(w, traj.grid.h, *stacks, ref_table)
+    out["cost"] = _interval_cost(w, traj.grid.h, *stacks, table)
     return out
-
-
-def kkt_residuals_loop(w, ref, model, act, traj, method="cay", t0=0.0):
-    """Interval-at-a-time reference for kkt_residuals_exact (any chart);
-    used by the tests only."""
-    n = traj.grid.n
-    d_g = np.zeros((n + 1, 3))
-    d_Pi = np.zeros((n + 1, 3))
-    d_u = np.zeros(n + 1)
-    d_tau = np.zeros((n + 1, 4))
-    phi123, phi4 = constraint_residuals(model, act, traj, method)
-    for k in range(n):
-        a, b = traj.knots[k], traj.knots[k + 1]
-        lam = traj.multipliers[k].lam
-        mu = traj.multipliers[k].mu
-        parts = _interval_partials(
-            w, model, act, traj.grid, k, a, b, ref, method, t0
-        )
-        for end, idx in ((0, k), (1, k + 1)):
-            p = parts[end]
-            d123_dPi, d4_dPi, dc_dPi = p["dPi"]
-            d_Pi[idx] += d123_dPi.T @ lam + d4_dPi.T @ mu - dc_dPi
-            d123_du, d4_du, dc_du = p["du"]
-            d_u[idx] += lam @ d123_du + mu @ d4_du - dc_du
-            d123_dtau, dc_dtau = p["dtau"]
-            d_tau[idx] += d123_dtau.T @ lam - dc_dtau
-            d4_dg, dc_dg = p["dg"]
-            d_g[idx] += d4_dg @ mu - dc_dg
-    return {
-        "d_g": d_g,
-        "d_Pi": d_Pi,
-        "d_u": d_u,
-        "d_tau": d_tau,
-        "phi123": phi123,
-        "phi4": phi4,
-    }
 
 
 def effective_lambda(traj, k):
@@ -726,131 +603,4 @@ def effective_lambda(traj, k):
 
 def tau_k_star(w, act, lam_eff, u):
     """Rotor command closing the stationarity block: -(1/c2) B(u)^T lam_eff."""
-    return -(plant.torque_matrix(act, u).T @ np.asarray(lam_eff, dtype=float)) / w.c2
-
-
-# ---------------------------------------------------------------------------
-# componentwise transcription variant (characterized cross-check)
-
-
-def kkt_residuals_paper(w, ref, model, act, traj):
-    """As-published componentwise stationarity rows, kept for comparison only.
-
-    Differences from the derivative-based blocks, by block:
-      * lam rows: the inertia-ratio coefficients appear as sums
-        (I_j + I_l)/(2 I_j I_l) instead of signed differences, the index
-        pairing differs, the transported-momentum factor enters through
-        2 (I + hat(x))/(1 + |x|^2) with no h/2 I^-1 weight (the |x| in the
-        published denominator is read as |x|^2 -- the resolvent scaling),
-        and the tracking term carries c4 without the h weight.
-      * u rows: the rotor-map derivative term is absent, the fold-inertia
-        coefficients drop one trigonometric factor, and several signs flip.
-      * g rows: the attitude trace term enters unweighted by h and the
-        chart-transported mu terms carry the opposite orientation.
-      * tau rows: closed form per knot; after the effective-multiplier
-        rescale it matches tau_k_star exactly (two misprints corrected: a
-        doubled arm-length factor and the sign of the fourth rotor row).
-    The returned "report" holds sup-norm deviations from the corresponding
-    kkt_residuals_exact blocks, each compared under the normalization stated
-    in the report key (lam rows against -d_Pi, u rows against d_u, g rows
-    against -d_g/h, tau rows against the exact block rescaled by -1/h at
-    interior knots and -2/h at the ends).
-    """
-    grid = traj.grid
-    h = grid.h
-    n = grid.n
-    Pi = traj.Pi_stack()
-    u = traj.u_stack()
-    lam = traj.lam_stack()
-    mu = traj.mu_stack()
-    d_lam = np.zeros((n + 1, 3))
-    d_u = np.zeros(n + 1)
-    d_g = np.zeros((n + 1, 3))
-    d_tau = np.zeros((n + 1, 4))
-    for k in range(1, n):
-        i_k = plant.inertia_diag(model, u[k])
-        i1, i2, i3 = i_k
-        s13 = (i3 + i1) / (2.0 * i3 * i1)
-        s12 = (i2 + i1) / (2.0 * i2 * i1)
-        s23 = (i3 + i2) / (2.0 * i3 * i2)
-        x_t = 0.5 * h * (
-            Pi[k] / i_k + Pi[k + 1] / plant.inertia_diag(model, u[k + 1])
-        )
-        y_t = 0.5 * h * (
-            Pi[k - 1] / plant.inertia_diag(model, u[k - 1]) + Pi[k] / i_k
-        )
-        mu_x = liealg.dcay_paper_matrix(x_t).T @ mu[k]
-        mu_y = liealg.dcay_paper_matrix(y_t).T @ mu[k - 1]
-        _, Pi_d = ref.sample(k * h)
-        rhs = np.empty(3)
-        rhs[0] = (
-            -(lam[k][1] + lam[k - 1][1]) * s13 * Pi[k][2]
-            - (lam[k][2] + lam[k - 1][2]) * s12 * Pi[k][1]
-        )
-        rhs[1] = (
-            (lam[k][1] - lam[k - 1][1]) * s23 * Pi[k][2]
-            - (lam[k][2] + lam[k - 1][2]) * s12 * Pi[k][0]
-        )
-        rhs[2] = (
-            (lam[k][1] - lam[k - 1][1]) * s23 * Pi[k][1]
-            - (lam[k][2] + lam[k - 1][2]) * s13 * Pi[k][0]
-        )
-        rhs += -mu_x - mu_y - w.c4 * (Pi[k] - Pi_d)
-        d_lam[k] = (lam[k] - lam[k - 1]) / h - rhs
-
-        # fold-angle row: inertia-derivative coefficients with the published
-        # single-trig factors, no rotor-map derivative term
-        a = 4.0 * model.l**2 * model.m
-        cu, su = np.cos(u[k]), np.sin(u[k])
-        q1 = a * cu / i1**2
-        q2 = a * su / i2**2
-        d_u[k] = (
-            w.c1 / h * (u[k + 1] - 2.0 * u[k] + u[k - 1])
-            - (mu[k][0] + mu[k - 1][0]) * h * q1 * Pi[k][0]
-            - (mu[k][1] + mu[k - 1][1]) * h * q2 * Pi[k][1]
-            - (lam[k][0] + lam[k - 1][0]) * q1 * Pi[k][0] * Pi[k][2]
-            - (lam[k][1] + lam[k - 1][1]) * q2 * Pi[k][1] * Pi[k][2]
-            - (lam[k][2] + lam[k - 1][2]) * q2 * Pi[k][0] * Pi[k][1]
-        )
-
-        # attitude row: trace pairing plus chart-transported mu terms
-        g_d, _ = ref.sample(k * h)
-        m_att = np.linalg.solve(g_d, traj.knots[k].g)
-        f_prev = traj.knots[k - 1].g.T @ traj.knots[k].g
-        for i, e_i in enumerate(np.eye(3)):
-            tr = np.trace(m_att @ liealg.hat(e_i) @ m_att)
-            d_g[k][i] = (
-                2.0 * w.c3 * tr
-                + mu[k] @ liealg.dcay_inv(x_t, e_i)
-                - mu[k - 1] @ liealg.dcay_inv(y_t, f_prev @ e_i)
-            )
-
-    for k in range(n + 1):
-        d_tau[k] = w.c2 * traj.knots[k].tau + plant.torque_matrix(
-            act, u[k]
-        ).T @ effective_lambda(traj, k)
-
-    exact = kkt_residuals_exact(w, ref, model, act, traj)
-    interior = slice(1, n)
-    report = {
-        "lam_rows_vs_exact": float(
-            np.abs(d_lam[interior] + exact["d_Pi"][interior]).max()
-        ),
-        "u_rows_vs_exact": float(np.abs(d_u[interior] - exact["d_u"][interior]).max()),
-        "g_rows_vs_exact": float(
-            np.abs(d_g[interior] + exact["d_g"][interior] / h).max()
-        ),
-        "tau_rows_vs_exact": float(
-            max(
-                np.abs(h * d_tau[1:n] + exact["d_tau"][1:n]).max(),
-                np.abs(0.5 * h * d_tau[[0, n]] + exact["d_tau"][[0, n]]).max(),
-            )
-        ),
-    }
-    return {
-        "d_lam": d_lam,
-        "d_u": d_u,
-        "d_g": d_g,
-        "d_tau": d_tau,
-        "report": report,
-    }
+    return ocp.tau_star(w, act, lam_eff, u)

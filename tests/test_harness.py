@@ -286,6 +286,16 @@ def test_run_scenario_revalidates():
         harness.run_scenario(bad)
 
 
+def test_validate_config_rejects_boolean_stages(tmp_path):
+    # direct construction is held to the same rule as load_config
+    config = harness.ScenarioConfig(h_s=0.05, N=8, continuation_stages=True)
+    with pytest.raises(harness.ValidationError, match="continuation_stages"):
+        harness.validate_config(config)
+    path = _write(tmp_path, {"grid": {"h_s": 0.05, "N": 8}, "continuation_stages": True})
+    with pytest.raises(harness.ValidationError, match="continuation_stages"):
+        harness.load_config(path)
+
+
 # ---------------------------------------------------------------------------
 # exports
 

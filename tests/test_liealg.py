@@ -122,18 +122,6 @@ def test_dcay_is_half_the_raw_derivative_and_identity_at_zero():
     np.testing.assert_allclose(la.dcay(np.zeros(3), v), v, atol=1e-15)
 
 
-def test_dcay_paper_matrix_agrees_with_exact_derivative():
-    # closed form 2 s (I + hat(x)) against the matrix-calculus route
-    rng = np.random.default_rng(8)
-    deviation = 0.0
-    for _ in range(200):
-        x = rng.standard_normal(3) * rng.uniform(0.0, 5.0)
-        m = la.dcay_paper_matrix(x)
-        for i in range(3):
-            deviation = max(deviation, np.max(np.abs(m[:, i] - la.dcay_exact(x, np.eye(3)[i]))))
-    assert deviation < 1e-12
-
-
 def test_dcay_inv_roundtrip():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((200, 3)) * 4.0

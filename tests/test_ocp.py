@@ -333,54 +333,6 @@ def test_coad_pairing_identity():
         np.testing.assert_allclose(la.coad(xi, p), np.cross(p, xi), atol=1e-15)
 
 
-def test_componentwise_forms_characterized():
-    rng, w, model, act, ref = _setup(14)
-    for _ in range(10):
-        s = _random_state(rng)
-        # expanded thrust form: overall sign opposite the stationarity solution
-        np.testing.assert_allclose(
-            ocp.tau_star_componentwise(w, act, s.p_Pi, s.u),
-            -ocp.tau_star(w, act, s.p_Pi, s.u),
-            rtol=1e-13,
-            atol=1e-15,
-        )
-        # expanded fold form: drops the thrust-map term, flips the inertia
-        # terms, and omits 1/c1
-        tau = ocp.tau_star(w, act, s.p_Pi, s.u)
-        db_term = s.p_Pi @ (plant.d_torque_matrix_du(act, s.u) @ tau)
-        np.testing.assert_allclose(
-            ocp.u_ddot_componentwise(model, s),
-            db_term - w.c1 * ocp.u_ddot(w, model, act, s),
-            rtol=1e-12,
-            atol=1e-14,
-        )
-        # trace form: gradient term enters with the opposite sign
-        xi = s.Pi / plant.inertia_diag(model, s.u)
-        np.testing.assert_allclose(
-            ocp.pXi_rhs_trace_form(w, s.g, xi, s.p_xi, ref, 0.0)
-            + ocp.pXi_rhs(w, s.g, xi, s.p_xi, ref, 0.0),
-            2.0 * np.cross(s.p_xi, xi),
-            rtol=1e-11,
-            atol=1e-13,
-        )
-    # expanded momentum-costate form pairs indices differently: it deviates on
-    # generic states but coincides when all principal moments are equal
-    s = _random_state(rng)
-    assert (
-        np.linalg.norm(
-            ocp.pPi_rhs_componentwise(w, model, ref, 0.0, s) - ocp.pPi_rhs(w, model, ref, 0.0, s)
-        )
-        > 1e-3
-    )
-    flat = plant.InertiaModel(Ic=0.02, l=0.2, m=1e-30)
-    np.testing.assert_allclose(
-        ocp.pPi_rhs_componentwise(w, flat, ref, 0.0, s),
-        ocp.pPi_rhs(w, flat, ref, 0.0, s),
-        rtol=1e-12,
-        atol=1e-14,
-    )
-
-
 def test_first_constraint_check_behavior():
     rng, w, model, act, ref = _setup(15)
     s = _random_state(rng)

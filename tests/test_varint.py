@@ -291,24 +291,6 @@ def test_free_dlp_no_convergence():
         varint.free_dlp_run(inertia, np.eye(3), np.array([0.5, 0.4, 0.8]), 5.0, 3)
 
 
-def test_residual_phi123_two_code_paths_agree():
-    rng = np.random.default_rng(11)
-    _, model, act = _models()
-    grid = varint.GridSpec(h=0.02, n=10)
-    for _ in range(50):
-        args = (
-            rng.normal(size=3),
-            rng.normal(size=3),
-            rng.uniform(-1.2, 1.2),
-            rng.uniform(-1.2, 1.2),
-            rng.normal(size=4),
-            rng.normal(size=4),
-        )
-        a = varint.residual_phi123(model, act, grid, *args)
-        b = varint.residual_phi123_componentwise(model, act, grid, *args)
-        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14 * (1.0 + np.abs(a).max()))
-
-
 def test_residual_phi4_out_of_chart():
     _, model, _ = _models()
     grid = varint.GridSpec(h=0.01, n=2)
@@ -567,10 +549,107 @@ def test_kkt_residuals_match_fd_of_extended_cost(method):
             np.testing.assert_allclose(out["phi4"][k][i], fd, rtol=2e-6, atol=1e-7)
 
 
+# ---------------------------------------------------------------------------
+# interval-at-a-time oracle for the stacked stationarity kernel
+
+
+def _dretract_inv_matrix(x, method):
+    # matrix of v -> dretract_inv(x, v)
+    x = np.asarray(x, dtype=float)
+    if method == "cay":
+        half = 0.5 * x
+        return np.eye(3) - la.hat(half) + np.outer(half, half)
+    cols = la.dretract_inv(x[None, :].repeat(3, axis=0), np.eye(3), method)
+    return cols.T
+
+
+def _interval_partials(w, model, act, grid, k, knot_a, knot_b, ref, method, t0=0.0):
+    """Derivatives of <lam, Phi123> + <mu, Phi4> - C_d for one interval.
+
+    Returns per-end dictionaries keyed by the unknown; the g entries are
+    left-trivialized (directional derivative along g retract(s eta)).
+    """
+    h = grid.h
+    out = []
+    x = la.retract_inv(knot_a.g.T @ knot_b.g, method)
+    dri = _dretract_inv_matrix(x, method)
+    f_ab = knot_a.g.T @ knot_b.g
+    for end, knot, t in ((0, knot_a, t0 + k * h), (1, knot_b, t0 + (k + 1) * h)):
+        i_d = plant.inertia_diag(model, knot.u)
+        di_inv = plant.d_inertia_inv_du_diag(model, knot.u)
+        omega = knot.Pi / i_d
+        bmat = plant.torque_matrix(act, knot.u)
+        dbmat = plant.d_torque_matrix_du(act, knot.u)
+        sgn = -1.0 if end == 0 else 1.0
+        # d Phi123 / d Pi = sgn/h + (1/2) d(omega x Pi)/dPi
+        m = -la.hat(knot.Pi) / i_d[None, :] + la.hat(omega)
+        d123_dPi = sgn * np.eye(3) / h + 0.5 * m
+        d123_du = 0.5 * np.cross(di_inv * knot.Pi, knot.Pi) - 0.5 * (dbmat @ knot.tau)
+        d123_dtau = -0.5 * bmat
+        d4_dPi = -0.5 * h * np.diag(1.0 / i_d)
+        d4_du = -0.5 * h * di_inv * knot.Pi
+        g_d, Pi_d = ref.sample(t)
+        du_quot = (knot_b.u - knot_a.u) / h
+        # cost partials (trapezoidal halves carry h/2 weights)
+        dc_dPi = 0.5 * h * w.c4 * (knot.Pi - Pi_d)
+        dc_dtau = 0.5 * h * w.c2 * knot.tau
+        dc_du = sgn * w.c1 * du_quot
+        dc_dg = 0.5 * h * w.c3 * ocp.attitude_cost_gradient(knot.g, g_d)
+        if end == 0:
+            d4_dg = -dri.T
+        else:
+            d4_dg = (dri @ f_ab).T
+        out.append(
+            {
+                "dPi": (d123_dPi, d4_dPi, dc_dPi),
+                "du": (d123_du, d4_du, dc_du),
+                "dtau": (d123_dtau, dc_dtau),
+                "dg": (d4_dg, dc_dg),
+            }
+        )
+    return out
+
+
+def _kkt_residuals_loop(w, ref, model, act, traj, method="cay", t0=0.0):
+    """Interval-at-a-time reference for varint.kkt_residuals_exact (any
+    chart)."""
+    n = traj.grid.n
+    d_g = np.zeros((n + 1, 3))
+    d_Pi = np.zeros((n + 1, 3))
+    d_u = np.zeros(n + 1)
+    d_tau = np.zeros((n + 1, 4))
+    phi123, phi4 = varint.constraint_residuals(model, act, traj, method)
+    for k in range(n):
+        a, b = traj.knots[k], traj.knots[k + 1]
+        lam = traj.multipliers[k].lam
+        mu = traj.multipliers[k].mu
+        parts = _interval_partials(
+            w, model, act, traj.grid, k, a, b, ref, method, t0
+        )
+        for end, idx in ((0, k), (1, k + 1)):
+            p = parts[end]
+            d123_dPi, d4_dPi, dc_dPi = p["dPi"]
+            d_Pi[idx] += d123_dPi.T @ lam + d4_dPi.T @ mu - dc_dPi
+            d123_du, d4_du, dc_du = p["du"]
+            d_u[idx] += lam @ d123_du + mu @ d4_du - dc_du
+            d123_dtau, dc_dtau = p["dtau"]
+            d_tau[idx] += d123_dtau.T @ lam - dc_dtau
+            d4_dg, dc_dg = p["dg"]
+            d_g[idx] += d4_dg @ mu - dc_dg
+    return {
+        "d_g": d_g,
+        "d_Pi": d_Pi,
+        "d_u": d_u,
+        "d_tau": d_tau,
+        "phi123": phi123,
+        "phi4": phi4,
+    }
+
+
 @pytest.mark.parametrize("method", ["cay", "exp"])
 def test_kkt_batched_matches_loop_reference(method):
     # the stacked kernel and the interval-at-a-time reference are the same
-    # map, down to round-off, including with a precomputed reference table
+    # map, down to round-off
     rng = np.random.default_rng(77)
     w, model, act = _models()
     ref = _time_varying_reference()
@@ -578,15 +657,9 @@ def test_kkt_batched_matches_loop_reference(method):
         traj = _random_trajectory(rng, n=6, h=0.04)
         t0 = 0.3 * trial
         fast = varint.kkt_residuals_exact(w, ref, model, act, traj, method, t0=t0)
-        slow = varint.kkt_residuals_loop(w, ref, model, act, traj, method, t0=t0)
+        slow = _kkt_residuals_loop(w, ref, model, act, traj, method, t0=t0)
         for key in ("d_g", "d_Pi", "d_u", "d_tau", "phi123", "phi4"):
             np.testing.assert_allclose(fast[key], slow[key], rtol=0, atol=1e-13)
-        table = varint.reference_table(ref, traj.grid, t0)
-        tabled = varint.kkt_residuals_exact(
-            w, ref, model, act, traj, method, t0=t0, ref_table=table
-        )
-        for key in ("d_g", "d_Pi", "d_u", "d_tau", "phi123", "phi4"):
-            np.testing.assert_allclose(tabled[key], fast[key], rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("method", ["cay", "exp"])
@@ -733,25 +806,3 @@ def test_interior_rows_vanish_at_third_order_on_extremals():
         )
     assert sups[1] < sups[0] / 4.5
     assert sups[0] < 1e-2
-
-
-def test_kkt_residuals_paper_report():
-    rng = np.random.default_rng(41)
-    w, model, act = _models()
-    ref = _time_varying_reference()
-    traj = _random_trajectory(rng, n=5, h=0.05)
-    out = varint.kkt_residuals_paper(w, ref, model, act, traj)
-    assert out["d_lam"].shape == (6, 3)
-    assert out["d_g"].shape == (6, 3)
-    report = out["report"]
-    # the closed-form rotor rows are the same stationarity condition up to
-    # the interval weights, so they reconcile to round-off
-    scale = 1.0 + np.abs(out["d_tau"]).max()
-    assert report["tau_rows_vs_exact"] < 1e-12 * scale
-    # the remaining transcribed rows genuinely differ from the derivative
-    # forms (sums instead of differences, dropped factors, h-weights)
-    assert report["lam_rows_vs_exact"] > 1e-3
-    assert report["u_rows_vs_exact"] > 1e-5
-    assert report["g_rows_vs_exact"] > 1e-3
-    for key in ("d_lam", "d_u", "d_g", "d_tau"):
-        assert np.isfinite(out[key]).all()
