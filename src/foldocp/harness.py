@@ -587,59 +587,32 @@ def export_svg_plots(report, out_dir):
     """attitude.svg, tracking_error.svg, arm_angle.svg (references dashed)."""
     rec = report.records
     t = rec[:, 0]
+    figures = (
+        ("attitude.svg", "Vehicle attitude", "angle [rad]", [
+            ("roll", t, rec[:, 1]),
+            ("pitch", t, rec[:, 2]),
+            ("yaw", t, rec[:, 3]),
+            ("roll ref", t, rec[:, 4], True),
+            ("pitch ref", t, rec[:, 5], True),
+            ("yaw ref", t, rec[:, 6], True),
+        ]),
+        ("tracking_error.svg", "Tracking error", "error", [
+            ("err roll", t, rec[:, 7]),
+            ("err pitch", t, rec[:, 8]),
+            ("err yaw", t, rec[:, 9]),
+            ("Frobenius", t, report.frob_err),
+        ]),
+        ("arm_angle.svg", "Arm angle", "u [rad]", [
+            ("u", t, rec[:, 10]),
+            ("box", t, np.full_like(t, report.config.u_min_rad), True),
+            ("box", t, np.full_like(t, report.config.u_max_rad), True),
+        ]),
+    )
     try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(
-            os.path.join(out_dir, "attitude.svg"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(
-                svgplot.line_chart(
-                    [
-                        ("roll", t, rec[:, 1]),
-                        ("pitch", t, rec[:, 2]),
-                        ("yaw", t, rec[:, 3]),
-                        ("roll ref", t, rec[:, 4], True),
-                        ("pitch ref", t, rec[:, 5], True),
-                        ("yaw ref", t, rec[:, 6], True),
-                    ],
-                    "Vehicle attitude",
-                    "t [s]",
-                    "angle [rad]",
-                )
-            )
-        with open(
-            os.path.join(out_dir, "tracking_error.svg"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(
-                svgplot.line_chart(
-                    [
-                        ("err roll", t, rec[:, 7]),
-                        ("err pitch", t, rec[:, 8]),
-                        ("err yaw", t, rec[:, 9]),
-                        ("Frobenius", t, report.frob_err),
-                    ],
-                    "Tracking error",
-                    "t [s]",
-                    "error",
-                )
-            )
-        with open(
-            os.path.join(out_dir, "arm_angle.svg"), "w", encoding="utf-8"
-        ) as fh:
-            box_lo = np.full_like(t, report.config.u_min_rad)
-            box_hi = np.full_like(t, report.config.u_max_rad)
-            fh.write(
-                svgplot.line_chart(
-                    [
-                        ("u", t, rec[:, 10]),
-                        ("box", t, box_lo, True),
-                        ("box", t, box_hi, True),
-                    ],
-                    "Arm angle",
-                    "t [s]",
-                    "u [rad]",
-                )
-            )
+        for name, title, ylabel, series in figures:
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(svgplot.line_chart(series, title, "t [s]", ylabel))
     except OSError as exc:
         raise IoError(f"cannot write SVGs under {out_dir}: {exc}") from exc
 

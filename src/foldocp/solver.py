@@ -11,6 +11,9 @@ The Jacobian is central finite differences over structurally independent
 column groups, all 90 perturbed copies evaluated in one batched residual
 call, and factored sparse. Marching windows build their dense Jacobian from
 one batched call the same way. Every attitude chart is the Cayley one.
+Newton and marching share one Armijo line search and fixed constants (the
+iteration budget, step floor, difference step and backtracking schedule);
+SolverConfig carries only the residual tolerance.
 """
 
 import functools
@@ -39,28 +42,28 @@ class SingularBlock(RuntimeError):
     """One interface block of the marching map is singular."""
 
 
+# Newton constants of newton_solve, jacobian_fd and step_map: iteration budget,
+# step-norm floor, relative central-difference step, and the line search's
+# Armijo slope, backtracking factor and smallest trial step
+_MAX_ITER = 100
+_TOL_STEP = 1e-10
+_FD_EPSILON = 1e-6
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-8
+# residual tolerance of a marching window
+_INTERFACE_TOL = 1e-11
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """Sup-norm residual tolerance at which newton_solve stops."""
+
     tol_residual: float = 1e-9
-    tol_step: float = 1e-10
-    max_iter: int = 100
-    fd_epsilon: float = 1e-6  # relative central-difference step
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    min_step: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tol_residual", "tol_step", "fd_epsilon", "min_step"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a positive real")
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be at least 1")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack must lie in (0, 1)")
+        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0.0):
+            raise ValueError("tol_residual must be a positive real")
 
 
 _BC_FIELDS = {
@@ -307,7 +310,7 @@ def _coloring(n, mode):
     return arrays
 
 
-def jacobian_fd(prob, base, bc, cfg=None):
+def jacobian_fd(prob, base, bc):
     """Central-difference Jacobian of the square residual at base.
 
     base is the pair (g, v): the (n+1, 3, 3) attitude stack and a packed
@@ -319,9 +322,8 @@ def jacobian_fd(prob, base, bc, cfg=None):
     grid size; entries are scattered through index arrays built once per
     (n, boundary mode).
     """
-    cfg = cfg or SolverConfig()
     g, v = base
-    eps = cfg.fd_epsilon * (1.0 + np.abs(v))
+    eps = _FD_EPSILON * (1.0 + np.abs(v))
     free, group, entry_group, entry_row, entry_col, row, col = _coloring(
         prob.grid.n, bc.mode
     )
@@ -371,6 +373,26 @@ def _project_bc(traj, bc, grid):
     return g, v
 
 
+def _line_search(residual, z, dz, r, stalled_message):
+    """Backtrack from the full step z + dz until the merit 0.5 |r|^2 passes
+    the Armijo test; trials that leave the chart count as failures. Returns
+    (t, accepted point, its residual); raises NoConvergence with
+    stalled_message once t falls below _MIN_STEP."""
+    merit0 = 0.5 * float(r @ r)
+    t = 1.0
+    while True:
+        trial = z + t * dz
+        try:
+            r_t = residual(trial)
+            if 0.5 * float(r_t @ r_t) <= merit0 * (1.0 - 2.0 * _ARMIJO_C * t):
+                return t, trial, r_t
+        except liealg.OutOfChart:
+            pass
+        t *= _BACKTRACK
+        if t < _MIN_STEP:
+            raise varint.NoConvergence(stalled_message)
+
+
 def newton_solve(prob, traj0, bc, cfg=None):
     """Damped Newton on the square stationarity system.
 
@@ -395,11 +417,11 @@ def newton_solve(prob, traj0, bc, cfg=None):
     factored = None
     iterations = 0
     while residuals[-1] > cfg.tol_residual:
-        if iterations >= cfg.max_iter:
+        if iterations >= _MAX_ITER:
             raise varint.NoConvergence(
-                f"residual {residuals[-1]:.3e} after {cfg.max_iter} iterations"
+                f"residual {residuals[-1]:.3e} after {_MAX_ITER} iterations"
             )
-        jac = jacobian_fd(prob, (g, v), bc, cfg)
+        jac = jacobian_fd(prob, (g, v), bc)
         try:
             lu = splu(jac)
         except RuntimeError as exc:
@@ -410,31 +432,19 @@ def newton_solve(prob, traj0, bc, cfg=None):
         factored = jac, lu
         dv = np.zeros(v.size)
         dv[cols_mask] = direction
-        merit0 = 0.5 * float(r @ r)
-        t = 1.0
-        while True:
-            trial = v + t * dv
-            try:
-                r_t = _full_residual(prob, g, trial, bc)[rows_mask]
-                if 0.5 * float(r_t @ r_t) <= merit0 * (
-                    1.0 - 2.0 * cfg.armijo_c * t
-                ):
-                    break
-            except liealg.OutOfChart:
-                pass
-            t *= cfg.backtrack
-            if t < cfg.min_step:
-                raise varint.NoConvergence("line search stalled below min step")
+        t, trial, r = _line_search(
+            lambda x: _full_residual(prob, g, x, bc)[rows_mask],
+            v, dv, r, "line search stalled below min step",
+        )
         # re-center: fold the accepted increments into the attitude stack
         rows = _rows(trial, n)
         g = _attitudes(g, rows[:, :3])
         rows[:, :3] = 0.0
         v = rows.ravel()[:v.size]
-        r = r_t
         residuals.append(float(np.abs(r).max()))
         step_norms.append(float(np.abs(t * direction).max()))
         iterations += 1
-        if step_norms[-1] < cfg.tol_step and residuals[-1] > cfg.tol_residual:
+        if step_norms[-1] < _TOL_STEP and residuals[-1] > cfg.tol_residual:
             raise varint.NoConvergence(
                 "step size collapsed before the residual tolerance was met"
             )
@@ -495,26 +505,20 @@ def continuation_solve(prob, bc, cfg=None, stages=4):
     Strongly tilted initial states can push plain Newton through a
     near-singular fold of the stationarity system; here the initial attitude
     and momentum (and, in initial_costate mode, the costates) are swept from
-    the reference state at t = 0 toward the requested values, each stage
-    warm-starting from the last. A failed stage bisects toward the previous
-    success until the blend gap falls below 1/64. Returns (trajectory,
-    report) of the final stage, with the stage schedule appended to the
-    report.
+    the reference state at t = 0 toward the requested values in `stages`
+    equal steps (an int >= 1), each stage warm-starting from the last. A
+    failed stage bisects toward the previous success until the blend gap
+    falls below 1/64. Returns (trajectory, report) of the final stage, with
+    the stage schedule appended to the report.
     """
-    cfg = cfg or SolverConfig()
-    if isinstance(stages, int):
-        if stages < 1:
-            raise ValueError("stages must be at least 1")
-        queue = list(np.linspace(1.0 / stages, 1.0, stages))
-    else:
-        queue = sorted(float(s) for s in stages)
-        if not queue or queue[-1] != 1.0 or queue[0] <= 0.0:
-            raise ValueError("an explicit stage schedule must end at 1.0")
+    if not isinstance(stages, int) or isinstance(stages, bool) or stages < 1:
+        raise ValueError("stages must be an integer >= 1")
+    queue = list(np.linspace(1.0 / stages, 1.0, stages))
     g_ref = np.asarray(prob.ref.g_d(0.0), dtype=float)
     Pi_ref = np.asarray(prob.ref.Pi_d(0.0), dtype=float)
     traj = None
     schedule = []
-    budget = max(8, 3 * len(queue))
+    budget = max(8, 3 * stages)
     s_prev = 0.0
     while queue:
         s = queue[0]
@@ -567,7 +571,7 @@ def block_from_trajectory(traj, k):
     return IntervalBlock(k, traj.knots[k], traj.knots[k + 1], m.lam, m.mu)
 
 
-def step_map(prob, block, cfg=None, lookahead=1):
+def step_map(prob, block, lookahead=1):
     """Advance the interface map one interval.
 
     Given (knot_k, knot_{k+1}, lam_k, mu_k), produce (lam_{k+1}, mu_{k+1})
@@ -591,7 +595,6 @@ def step_map(prob, block, cfg=None, lookahead=1):
     value are truncated and only a deficiency beyond the 3-dimensional edge
     trade raises SingularBlock.
     """
-    cfg = cfg or SolverConfig()
     h = prob.grid.h
     if prob.w.c1 == 0.0:
         raise SingularBlock(
@@ -643,13 +646,12 @@ def step_map(prob, block, cfg=None, lookahead=1):
     z[:, 12] = b.u + steps[:, 0] * (b.u - a.u)
     z[:, 13:17] = b.tau
     z = z.ravel()
-    tol = min(cfg.tol_residual, 1e-11)
     r = residual(z)
-    for _ in range(cfg.max_iter):
-        if np.abs(r).max() <= tol:
+    for _ in range(_MAX_ITER):
+        if np.abs(r).max() <= _INTERFACE_TOL:
             break
         # dense central differences: all 2 z.size copies z +- e_j in one batch
-        e = cfg.fd_epsilon * (1.0 + np.abs(z))
+        e = _FD_EPSILON * (1.0 + np.abs(z))
         j = np.arange(z.size)
         copies = np.tile(z, (2, z.size, 1))
         copies[0, j, j] += e
@@ -668,25 +670,12 @@ def step_map(prob, block, cfg=None, lookahead=1):
             raise SingularBlock(f"interface Jacobian has rank {rank} < {floor}")
         if not np.isfinite(dz).all():
             raise SingularBlock("interface Newton direction is not finite")
-        merit0 = 0.5 * float(r @ r)
-        t = 1.0
-        while True:
-            try:
-                r_t = residual(z + t * dz)
-                if 0.5 * float(r_t @ r_t) <= merit0 * (1.0 - 2.0 * cfg.armijo_c * t):
-                    break
-            except liealg.OutOfChart:
-                pass
-            t *= cfg.backtrack
-            if t < cfg.min_step:
-                raise varint.NoConvergence("interface line search stalled")
-        z = z + t * dz
-        r = r_t
-        if width > 1 and np.abs(t * dz).max() <= cfg.tol_step:
+        t, z, r = _line_search(residual, z, dz, r, "interface line search stalled")
+        if width > 1 and np.abs(t * dz).max() <= _TOL_STEP:
             break
     else:
         raise varint.NoConvergence(
-            f"interface Newton did not converge in {cfg.max_iter} iterations"
+            f"interface Newton did not converge in {_MAX_ITER} iterations"
         )
     # the committed rows: knot k+1 and interval k+1
     if width > 1 and np.abs(r[:_PAIR_WIDTH]).max() > 1e-8:
@@ -701,7 +690,7 @@ def step_map(prob, block, cfg=None, lookahead=1):
     return IntervalBlock(block.k + 1, b, knot, z[0:3], z[3:6])
 
 
-def march(prob, block0, cfg=None, lookahead=3):
+def march(prob, block0, lookahead=3):
     """Iterate step_map across the whole grid from the interval-0 block.
 
     The default lookahead keeps the recursion stable (see step_map); every
@@ -713,7 +702,7 @@ def march(prob, block0, cfg=None, lookahead=3):
     mults = [varint.Multipliers(block0.lam, block0.mu)]
     block = block0
     for _ in range(prob.grid.n - 1):
-        block = step_map(prob, block, cfg, lookahead)
+        block = step_map(prob, block, lookahead)
         knots.append(block.knot_b)
         mults.append(varint.Multipliers(block.lam, block.mu))
     return varint.DiscreteTrajectory(prob.grid, knots, mults)

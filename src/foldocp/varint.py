@@ -22,6 +22,11 @@ import numpy as np
 from . import liealg, ocp, plant
 
 _EYE = np.eye(3)
+# relative tolerance and iteration budget of the unforced momentum update,
+# and the relative residual tolerance of feasible_step's momentum solve
+_DLP_TOL = 1e-14
+_DLP_MAX_ITER = 100
+_FEASIBLE_TOL = 1e-13
 
 
 class NoConvergence(RuntimeError):
@@ -169,26 +174,26 @@ def trajectory_from_arrays(grid, g, Pi, u, tau, lam, mu):
 # unforced step at constant inertia (structure-preservation baseline)
 
 
-def _dlp_momentum_solve(inertia, h, b, omega0, method, tol, max_iter):
+def _dlp_momentum_solve(inertia, h, b, omega0, method):
     # fixed point omega <- I^-1 (b - [dual(h w, I w) - I w]); contraction for
     # moderate h |omega|, warm started from the previous rate
     omega = np.asarray(omega0, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(_DLP_MAX_ITER):
         p = inertia * omega
         step = liealg.dretract_inv_dual(h * omega, p, method) - p
         new = (b - step) / inertia
         delta = np.linalg.norm(new - omega)
-        if delta < tol * (1.0 + np.linalg.norm(new)):
+        if delta < _DLP_TOL * (1.0 + np.linalg.norm(new)):
             return new
         if not delta < 1e8:  # also catches nan
             raise NoConvergence("momentum update diverged (h |omega| too large?)")
         omega = new
     raise NoConvergence(
-        f"momentum update stalled after {max_iter} iterations (h|omega| too large?)"
+        f"momentum update stalled after {_DLP_MAX_ITER} iterations (h|omega| too large?)"
     )
 
 
-def free_dlp_step(inertia, h, g, Pi_prev, method="cay", tol=1e-14, max_iter=100):
+def free_dlp_step(inertia, h, g, Pi_prev, method="cay"):
     """One unforced step at constant diagonal inertia.
 
     Solves the implicit transported-momentum update for the new rate omega,
@@ -202,13 +207,13 @@ def free_dlp_step(inertia, h, g, Pi_prev, method="cay", tol=1e-14, max_iter=100)
     Pi_prev = np.asarray(Pi_prev, dtype=float)
     omega_prev = Pi_prev / inertia
     b = liealg.dretract_inv_dual(-h * omega_prev, Pi_prev, method)
-    omega = _dlp_momentum_solve(inertia, h, b, omega_prev, method, tol, max_iter)
+    omega = _dlp_momentum_solve(inertia, h, b, omega_prev, method)
     g_next = np.asarray(g, dtype=float) @ liealg.retract(h * omega, method)
     return g_next, inertia * omega
 
 
 def _free_dlp_history(inertia, g0, Pi0, h, n_steps, method="cay",
-                      reorth_every=liealg.REORTH_INTERVAL, tol=1e-14, max_iter=100):
+                      reorth_every=liealg.REORTH_INTERVAL):
     """Attitude (n+1, 3, 3) and momentum (n+1, 3) histories of free_dlp_run."""
     inertia = np.asarray(inertia, dtype=float)
     g_hist = np.empty((n_steps + 1, 3, 3))
@@ -218,14 +223,15 @@ def _free_dlp_history(inertia, g0, Pi0, h, n_steps, method="cay",
     if method != "cay":
         g, Pi = g_hist[0], Pi_hist[0]
         for k in range(n_steps):
-            g, Pi = free_dlp_step(inertia, h, g, Pi, method, tol, max_iter)
+            g, Pi = free_dlp_step(inertia, h, g, Pi, method)
             if (k + 1) % reorth_every == 0:
                 g = liealg.orthonormalize(g)
             g_hist[k + 1] = g
             Pi_hist[k + 1] = Pi
         return g_hist, Pi_hist
     # scalar inner loop (same update as free_dlp_step); the 3x3 fixed point
-    # runs on floats so long-horizon drift studies stay cheap
+    # runs on floats and local names so long-horizon drift studies stay cheap
+    tol, max_iter = _DLP_TOL, _DLP_MAX_ITER
     i1, i2, i3 = (float(v) for v in inertia)
     p1, p2, p3 = (float(v) for v in Pi_hist[0])
     g = g_hist[0]
@@ -287,11 +293,9 @@ def _free_dlp_history(inertia, g0, Pi0, h, n_steps, method="cay",
 
 
 def free_dlp_run(inertia, g0, Pi0, h, n_steps, method="cay",
-                 reorth_every=liealg.REORTH_INTERVAL, tol=1e-14, max_iter=100):
+                 reorth_every=liealg.REORTH_INTERVAL):
     """Iterate free_dlp_step; returns (g_final, momentum history (n+1, 3))."""
-    g_hist, Pi_hist = _free_dlp_history(
-        inertia, g0, Pi0, h, n_steps, method, reorth_every, tol, max_iter
-    )
+    g_hist, Pi_hist = _free_dlp_history(inertia, g0, Pi0, h, n_steps, method, reorth_every)
     return g_hist[-1].copy(), Pi_hist
 
 
@@ -490,7 +494,7 @@ def extended_cost(w, ref, model, act, traj, method="cay", t0=0.0):
 
 
 def feasible_step(model, act, grid, knot, u_next, tau_next, method="cay",
-                  tol=1e-13, max_iter=50):
+                  max_iter=50):
     """Advance one interval with prescribed (u, tau) at the far knot.
 
     Newton-solves Phi123 = 0 for Pi_{k+1} (3x3 analytic Jacobian), then sets
@@ -508,7 +512,7 @@ def feasible_step(model, act, grid, knot, u_next, tau_next, method="cay",
     for _ in range(max_iter):
         w = Pi / i_k1
         res = Pi / h + 0.5 * np.cross(w, Pi) - rhs
-        if np.linalg.norm(res) < tol * scale:
+        if np.linalg.norm(res) < _FEASIBLE_TOL * scale:
             break
         jac = np.eye(3) / h + 0.5 * (liealg.hat(w) - liealg.hat(Pi) / i_k1[None, :])
         Pi = Pi - np.linalg.solve(jac, res)

@@ -1,10 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foldocp
 from foldocp import harness, liealg as la, plant, varint
 
 
@@ -400,3 +404,16 @@ def test_diagnostics_full_suite_passes():
     out = harness.diagnostics(cfg, "all")
     failures = {k: v for k, v in out["checks"].items() if not v["pass"]}
     assert out["all_pass"], failures
+
+
+def test_package_import_leaves_out_integrate_and_published():
+    # both load only on demand, which keeps the CLI's start-up short
+    src = str(Path(foldocp.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import foldocp; "
+        "print(sorted({'scipy.integrate', 'foldocp.published'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
