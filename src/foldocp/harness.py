@@ -158,7 +158,7 @@ def _vec3(label, value):
     return tuple(_real(f"{label}[{i}]", v) for i, v in enumerate(value))
 
 
-def _check(config):
+def validate_config(config):
     """Invariant pass shared by load_config and direct construction."""
     c = config
     if c.scenario not in _SCENARIOS:
@@ -203,11 +203,6 @@ def _check(config):
     if not (isinstance(c.seed, int) and not isinstance(c.seed, bool) and c.seed >= 0):
         raise ValidationError("seed must be a nonnegative integer")
     return c
-
-
-def validate_config(config):
-    """Re-run the invariant pass on a directly constructed config."""
-    return _check(config)
 
 
 def load_config(path):
@@ -260,7 +255,7 @@ def load_config(path):
             coerced[name] = None if value is None else _vec3(name, value)
         else:
             coerced[name] = _real(name, value)
-    return _check(ScenarioConfig(**coerced))
+    return validate_config(ScenarioConfig(**coerced))
 
 
 def serialize_config(config):
@@ -333,13 +328,14 @@ def _euler_lenient(r):
 # scenario assembly
 
 
-def build_models(config):
+def _plant_models(config):
     model = plant.InertiaModel(Ic=config.Ic_kgm2, l=config.l_m, m=config.m_kg)
-    act = plant.ActuationModel(
-        l=config.l_m, kappa1=config.kappa1, kappa2=config.kappa2
-    )
-    w = ocp.CostWeights(config.c1, config.c2, config.c3, config.c4)
-    return w, model, act
+    act = plant.ActuationModel(l=config.l_m, kappa1=config.kappa1, kappa2=config.kappa2)
+    return model, act
+
+
+def build_models(config):
+    return (ocp.CostWeights(config.c1, config.c2, config.c3, config.c4), *_plant_models(config))
 
 
 def build_reference(config):
@@ -463,20 +459,22 @@ def _records_from_trajectory(config, ref, traj, kkt_col):
     return records, np.sqrt(((g - g_ref) ** 2).sum(axis=(-1, -2)))
 
 
-def _guards(config, traj, ortho_tol=1e-8):
-    u = traj.u_stack()
-    g = traj.g_stack()
+def _run_report(config, ref, traj, kkt_col, solver_report, ortho_tol=1e-8):
+    """RunReport with the per-knot records and the guards: fold angles in the
+    box, attitudes within ortho_tol of SO(3), finite momenta and thrusts."""
+    records, frob = _records_from_trajectory(config, ref, traj, kkt_col)
+    u, g = traj.u_stack(), traj.g_stack()
     ortho = np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(3)).max()
-    return {
+    guards = {
         "u_box": bool(
-            (u >= config.u_min_rad - 1e-12).all()
-            and (u <= config.u_max_rad + 1e-12).all()
+            (u >= config.u_min_rad - 1e-12).all() and (u <= config.u_max_rad + 1e-12).all()
         ),
         "rotations": bool(ortho < ortho_tol),
         "finite": bool(
             np.isfinite(traj.Pi_stack()).all() and np.isfinite(traj.tau_stack()).all()
         ),
     }
+    return RunReport(config, records, frob, traj, solver_report, guards=guards)
 
 
 def run_scenario(config):
@@ -487,36 +485,21 @@ def run_scenario(config):
     boundary mode, with the initial state blended in over
     continuation_stages warm starts.
     """
-    _check(config)
+    validate_config(config)
     if config.scenario == "free_body":
         return replace(simulate(config, "dlp"), solver_report=None)
-    w, model, act = build_models(config)
-    ref = build_reference(config)
-    prob = solver.Problem(w, ref, model, act, varint.GridSpec(config.h_s, config.N))
-    bc = build_boundary(config, ref)
-    traj, report = solver.continuation_solve(
-        prob, bc, stages=config.continuation_stages
-    )
-    kkt_col = _kkt_column(prob, traj)
-    records, frob = _records_from_trajectory(config, ref, traj, kkt_col)
-    return RunReport(
-        config=config,
-        records=records,
-        frob_err=frob,
-        traj=traj,
-        solver_report=report,
-        converged=True,
-        guards=_guards(config, traj),
-    )
+    prob = build_problem(config)
+    bc = build_boundary(config, prob.ref)
+    traj, report = solver.continuation_solve(prob, bc, stages=config.continuation_stages)
+    return _run_report(config, prob.ref, traj, _kkt_column(prob, traj), report)
 
 
 def simulate(config, mode="dlp"):
     """Open-loop run (rotors off, arms locked) with the chosen integrator."""
     if mode not in ("dlp", "rk4"):
         raise ValidationError("simulate mode must be 'dlp' or 'rk4'")
-    _check(config)
-    w, model, act = build_models(config)
-    ref = build_reference(config)
+    validate_config(config)
+    model, act = _plant_models(config)
     g0 = compose_euler(config.roll0_rad, config.pitch0_rad, config.yaw0_rad)
     Pi0 = np.array(config.Pi0_kgm2rads)
     n = config.N
@@ -534,19 +517,11 @@ def simulate(config, mode="dlp"):
         varint.GridSpec(config.h_s, n), gs, ps, np.full(n + 1, config.u0_rad),
         np.zeros((n + 1, 4)), np.zeros((n, 3)), np.zeros((n, 3)),
     )
-    kkt_col = _feasibility_column(model, act, traj)
-    records, frob = _records_from_trajectory(config, ref, traj, kkt_col)
     # rk4 lives in the embedding and drifts off the group at O(h^5) per step
     # between periodic reorthonormalizations; only gross divergence is an error
-    ortho_tol = 1e-3 if mode == "rk4" else 1e-8
-    return RunReport(
-        config=config,
-        records=records,
-        frob_err=frob,
-        traj=traj,
-        solver_report={"mode": mode},
-        converged=True,
-        guards=_guards(config, traj, ortho_tol),
+    return _run_report(
+        config, build_reference(config), traj, _feasibility_column(model, act, traj),
+        {"mode": mode}, 1e-3 if mode == "rk4" else 1e-8,
     )
 
 

@@ -2,9 +2,9 @@
 
 Running cost, Pontryagin function, closed-form torque elimination, costate
 equations, and the assembled first-order boundary-value field with an RK4
-shooting integrator.  Every rate is the derivative-based form, pinned by
-finite differences of the Pontryagin function; the as-published expanded
-variants live in `published`.
+shooting integrator (plant's one RK4 loop, run on the packed state).  Every
+rate is the derivative-based form, pinned by finite differences of the
+Pontryagin function; the as-published expanded variants live in `published`.
 """
 
 from dataclasses import dataclass, field
@@ -294,31 +294,20 @@ def integrate_necessary(
 ):
     """March the assembled field with fixed-step RK4 from state0.
 
-    The attitude block is re-orthonormalized every reorth_every steps to hold
-    the rotation defect near round-off over long horizons.
+    Runs plant's RK4 loop on the packed 20-vector: the attitude block is
+    re-orthonormalized every reorth_every steps (never when 0) to hold the
+    rotation defect near round-off over long horizons, and plant.NonFinite is
+    raised as soon as the state stops being finite.
     """
     if w.c1 == 0.0:
         raise RegularityViolation("c1 = 0 removes the second-order u dynamics")
-    y = pack_state(state0)
-    n = int(n_steps)
-    times = t0 + h * np.arange(n + 1)
-    out = np.empty((n + 1, 20))
-    out[0] = y
-    for k in range(n):
-        t = times[k]
-        k1 = necessary_rhs_flat(w, model, act, ref, t, y)
-        k2 = necessary_rhs_flat(w, model, act, ref, t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = necessary_rhs_flat(w, model, act, ref, t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = necessary_rhs_flat(w, model, act, ref, t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise plant.NonFinite(f"state diverged at step {k + 1}")
-        if (k + 1) % reorth_every == 0:
-            y[:9] = liealg.orthonormalize(y[:9].reshape(3, 3)).ravel()
-        out[k + 1] = y
+    times, out = plant._rk4_run(
+        lambda t, y: necessary_rhs_flat(w, model, act, ref, t, y),
+        pack_state(state0), t0, h, int(n_steps), reorth_every,
+    )
     return ExtremalTrajectory(
         times=times,
-        g=out[:, :9].reshape(n + 1, 3, 3).copy(),
+        g=out[:, :9].reshape(-1, 3, 3).copy(),
         Pi=out[:, 9:12].copy(),
         u=out[:, 12].copy(),
         u_dot=out[:, 13].copy(),

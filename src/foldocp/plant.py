@@ -3,6 +3,8 @@ map, forced rigid-body dynamics in body momentum form, and an RK4 baseline.
 
 The four arms fold symmetrically by a single angle u, moving the motor masses
 and reshaping the (diagonal) inertia; u also tilts the rotor force directions.
+The one RK4 loop, `_rk4_run`, steps a flat state whose first nine entries are
+the row-major attitude; `integrate` and `ocp.integrate_necessary` call it.
 """
 
 from __future__ import annotations
@@ -81,25 +83,30 @@ class ControlInput:
             raise ValueError(f"arm angle {self.u} outside the box ({U_MIN:.4f}, {U_MAX:.4f})")
 
 
+# Rotor sign pattern of B(u): row i of B (and of dB/du) is one row term
+# times row i of this pattern.
+_B_SIGNS = ((-1, 1, 1, -1), (1, 1, -1, -1), (1, -1, 1, -1))
+
+
+def _diag3(u, d1, d2, d3):
+    # entries broadcast over u along a new last axis; cheaper than np.stack
+    out = np.empty(u.shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = d1, d2, d3
+    return out
+
+
 def inertia_diag(model, u):
     """Principal moments (I1, I2, I3) at arm angle u; broadcasts over u."""
     u = np.asarray(u, dtype=float)
     a = 4.0 * model.l**2 * model.m
-    return np.stack(
-        [
-            model.Ic + a * np.sin(u) ** 2,
-            model.Ic + a * np.cos(u) ** 2,
-            np.full(u.shape, model.Ic + a),
-        ],
-        axis=-1,
-    )
+    return _diag3(u, model.Ic + a * np.sin(u) ** 2, model.Ic + a * np.cos(u) ** 2, model.Ic + a)
 
 
 def d_inertia_du_diag(model, u):
     """d/du of the principal moments: (a sin(2u), -a sin(2u), 0), a = 4 l^2 m."""
     u = np.asarray(u, dtype=float)
-    a = 4.0 * model.l**2 * model.m
-    return np.stack([a * np.sin(2.0 * u), -a * np.sin(2.0 * u), np.zeros(u.shape)], axis=-1)
+    d = 4.0 * model.l**2 * model.m * np.sin(2.0 * u)
+    return _diag3(u, d, -d, 0.0)
 
 
 def d_inertia_inv_du_diag(model, u):
@@ -107,26 +114,27 @@ def d_inertia_inv_du_diag(model, u):
     return -d_inertia_du_diag(model, u) / inertia_diag(model, u) ** 2
 
 
+def _signed_rows(u, *terms):
+    # (..., 3, 4): row i is terms[i] (broadcast over u) times _B_SIGNS[i]
+    out = np.empty(u.shape + (3, 4))
+    for i, (term, signs) in enumerate(zip(terms, _B_SIGNS)):
+        for j, sign in enumerate(signs):
+            out[..., i, j] = term if sign > 0 else -term
+    return out
+
+
 def torque_matrix(act, u):
     """Matrix B(u) with body torque F = B(u) tau; shape (..., 3, 4)."""
     u = np.asarray(u, dtype=float)
-    s = act.l * act.kappa1 * np.sin(u)
-    c = act.l * act.kappa1 * np.cos(u)
-    z = np.broadcast_to(act.l * act.kappa2, u.shape)
-    row1 = np.stack([-s, s, s, -s], axis=-1)
-    row2 = np.stack([c, c, -c, -c], axis=-1)
-    row3 = np.stack([z, -z, z, -z], axis=-1)
-    return np.stack([row1, row2, row3], axis=-2)
+    k = act.l * act.kappa1
+    return _signed_rows(u, k * np.sin(u), k * np.cos(u), act.l * act.kappa2)
 
 
 def d_torque_matrix_du(act, u):
     """d/du of B(u); the drag row is constant in u."""
     u = np.asarray(u, dtype=float)
-    ds = act.l * act.kappa1 * np.cos(u)
-    dc = -act.l * act.kappa1 * np.sin(u)
-    row1 = np.stack([-ds, ds, ds, -ds], axis=-1)
-    row2 = np.stack([dc, dc, -dc, -dc], axis=-1)
-    return np.stack([row1, row2, np.zeros(u.shape + (4,))], axis=-2)
+    k = act.l * act.kappa1
+    return _signed_rows(u, k * np.cos(u), -k * np.sin(u), 0.0)
 
 
 def body_torque(act, u, tau):
@@ -163,26 +171,54 @@ def _as_input(value):
     return u, u_dot, np.asarray(tau, dtype=float)
 
 
+def _rk4_increment(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_run(rhs, y0, t0, h, n_steps, reorth_every):
+    """RK4 loop of integrate and ocp.integrate_necessary: rhs(t, y) on a flat
+    state whose first nine entries are the row-major attitude, re-orthonormalized
+    every reorth_every steps (never when 0). Returns (times, states (n+1, size));
+    raises NonFinite as soon as the state stops being finite."""
+    times = t0 + h * np.arange(n_steps + 1)
+    out = np.empty((n_steps + 1, y0.size))
+    out[0] = y = y0
+    for k in range(n_steps):
+        y = _rk4_increment(rhs, times[k], y, h)
+        if not np.isfinite(y).all():
+            raise NonFinite(f"state diverged at step {k + 1} (t = {times[k + 1]:.6g})")
+        if reorth_every and (k + 1) % reorth_every == 0:
+            y[:9] = liealg.orthonormalize(y[:9].reshape(3, 3)).ravel()
+        out[k + 1] = y
+    return times, out
+
+
+def _plant_rhs(model, act, input_fn):
+    # coupled (g, Pi) field on the flat 12-vector of _rk4_run
+    def rhs(t, y):
+        u, _, tau = _as_input(input_fn(t))
+        omega = y[9:] / inertia_diag(model, u)
+        return np.concatenate([
+            reconstruction_rhs(y[:9].reshape(3, 3), omega).ravel(),
+            lie_poisson_rhs(model, act, y[9:], u, tau),
+        ])
+    return rhs
+
+
 def rk4_step(model, act, state, input_fn, t, h):
     """One classical RK4 step of the coupled (g, Pi) dynamics.
 
     The attitude block integrates the matrix embedding; callers are expected to
     re-orthonormalize on the liealg.REORTH_INTERVAL cadence (integrate does).
+    A non-finite result is returned, not raised.
     """
-    g0, p0 = np.asarray(state.g, dtype=float), np.asarray(state.Pi, dtype=float)
-
-    def rhs(g, p, ti):
-        u, _, tau = _as_input(input_fn(ti))
-        omega = p / inertia_diag(model, u)
-        return reconstruction_rhs(g, omega), lie_poisson_rhs(model, act, p, u, tau)
-
-    k1g, k1p = rhs(g0, p0, t)
-    k2g, k2p = rhs(g0 + 0.5 * h * k1g, p0 + 0.5 * h * k1p, t + 0.5 * h)
-    k3g, k3p = rhs(g0 + 0.5 * h * k2g, p0 + 0.5 * h * k2p, t + 0.5 * h)
-    k4g, k4p = rhs(g0 + h * k3g, p0 + h * k3p, t + h)
-    g1 = g0 + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-    p1 = p0 + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return PlantState(g1, p1)
+    y0 = np.concatenate([state.g.ravel(), state.Pi])
+    y = _rk4_increment(_plant_rhs(model, act, input_fn), t, y0, h)
+    return PlantState(y[:9].reshape(3, 3), y[9:])
 
 
 def integrate(model, act, state0, input_fn, t0, h, n_steps, reorth_every=liealg.REORTH_INTERVAL):
@@ -190,19 +226,9 @@ def integrate(model, act, state0, input_fn, t0, h, n_steps, reorth_every=liealg.
 
     Raises NonFinite as soon as the state stops being finite.
     """
-    times = t0 + h * np.arange(n_steps + 1)
-    gs = np.empty((n_steps + 1, 3, 3))
-    ps = np.empty((n_steps + 1, 3))
-    state = PlantState(state0.g, state0.Pi)
-    gs[0], ps[0] = state.g, state.Pi
-    for k in range(n_steps):
-        state = rk4_step(model, act, state, input_fn, times[k], h)
-        if not (np.isfinite(state.Pi).all() and np.isfinite(state.g).all()):
-            raise NonFinite(f"state diverged at step {k + 1} (t = {times[k + 1]:.6g})")
-        if reorth_every and (k + 1) % reorth_every == 0:
-            state = PlantState(liealg.orthonormalize(state.g), state.Pi)
-        gs[k + 1], ps[k + 1] = state.g, state.Pi
-    return times, gs, ps
+    y0 = np.concatenate([state0.g.ravel(), state0.Pi])
+    times, ys = _rk4_run(_plant_rhs(model, act, input_fn), y0, t0, h, n_steps, reorth_every)
+    return times, ys[:, :9].reshape(-1, 3, 3), ys[:, 9:]
 
 
 def free_momentum_rk4(inertia, Pi0, h, n_steps):

@@ -11,7 +11,8 @@ The derivative-based residuals and the stationarity blocks are written once,
 in a stacked kernel over all intervals that also evaluates a batch of
 trajectories in one call; the discrete cost is one stacked helper beside it,
 and the per-interval and per-trajectory functions are thin wrappers around
-the two.
+the two. The unforced free-body run solves its rate history first and builds
+every attitude from one `liealg.retract` call on it.
 """
 
 import functools
@@ -174,10 +175,12 @@ def trajectory_from_arrays(grid, g, Pi, u, tau, lam, mu):
 # unforced step at constant inertia (structure-preservation baseline)
 
 
-def _dlp_momentum_solve(inertia, h, b, omega0, method):
-    # fixed point omega <- I^-1 (b - [dual(h w, I w) - I w]); contraction for
-    # moderate h |omega|, warm started from the previous rate
-    omega = np.asarray(omega0, dtype=float)
+def _free_dlp_rate(inertia, h, Pi_prev, method):
+    # new rate omega of one unforced step: fixed point omega <- I^-1 (b -
+    # [dual(h w, I w) - I w]) with b the previous momentum transported back;
+    # contraction for moderate h |omega|, warm started from the previous rate
+    omega = Pi_prev / inertia
+    b = liealg.dretract_inv_dual(-h * omega, Pi_prev, method)
     for _ in range(_DLP_MAX_ITER):
         p = inertia * omega
         step = liealg.dretract_inv_dual(h * omega, p, method) - p
@@ -204,91 +207,69 @@ def free_dlp_step(inertia, h, g, Pi_prev, method="cay"):
     only a bounded O((h|omega|)^2) band otherwise -- no secular drift.
     """
     inertia = np.asarray(inertia, dtype=float)
-    Pi_prev = np.asarray(Pi_prev, dtype=float)
-    omega_prev = Pi_prev / inertia
-    b = liealg.dretract_inv_dual(-h * omega_prev, Pi_prev, method)
-    omega = _dlp_momentum_solve(inertia, h, b, omega_prev, method)
+    omega = _free_dlp_rate(inertia, h, np.asarray(Pi_prev, dtype=float), method)
     g_next = np.asarray(g, dtype=float) @ liealg.retract(h * omega, method)
     return g_next, inertia * omega
 
 
 def _free_dlp_history(inertia, g0, Pi0, h, n_steps, method="cay",
                       reorth_every=liealg.REORTH_INTERVAL):
-    """Attitude (n+1, 3, 3) and momentum (n+1, 3) histories of free_dlp_run."""
+    """Attitude (n+1, 3, 3) and momentum (n+1, 3) histories of free_dlp_run.
+
+    The rate history comes first; every attitude is then built from one
+    retract call on it, multiplied in order and re-orthonormalized every
+    reorth_every steps (never when 0).
+    """
     inertia = np.asarray(inertia, dtype=float)
-    g_hist = np.empty((n_steps + 1, 3, 3))
-    Pi_hist = np.empty((n_steps + 1, 3))
-    g_hist[0] = g0
-    Pi_hist[0] = Pi0
-    if method != "cay":
-        g, Pi = g_hist[0], Pi_hist[0]
+    omega = np.empty((n_steps, 3))
+    if method == "cay":
+        # _free_dlp_rate on floats and local names, so long-horizon drift
+        # studies stay cheap
+        tol, max_iter = _DLP_TOL, _DLP_MAX_ITER
+        i1, i2, i3 = (float(v) for v in inertia)
+        p1, p2, p3 = (float(v) for v in Pi0)
+        w1, w2, w3 = p1 / i1, p2 / i2, p3 / i3
         for k in range(n_steps):
-            g, Pi = free_dlp_step(inertia, h, g, Pi, method)
-            if (k + 1) % reorth_every == 0:
-                g = liealg.orthonormalize(g)
-            g_hist[k + 1] = g
-            Pi_hist[k + 1] = Pi
-        return g_hist, Pi_hist
-    # scalar inner loop (same update as free_dlp_step); the 3x3 fixed point
-    # runs on floats and local names so long-horizon drift studies stay cheap
-    tol, max_iter = _DLP_TOL, _DLP_MAX_ITER
-    i1, i2, i3 = (float(v) for v in inertia)
-    p1, p2, p3 = (float(v) for v in Pi_hist[0])
-    g = g_hist[0]
-    w1, w2, w3 = p1 / i1, p2 / i2, p3 / i3
-    for k in range(n_steps):
-        # b = (I - hat(h w)/2 + (h w)(h w)^T/4) Pi at the previous rate
-        x1, x2, x3 = h * w1, h * w2, h * w3
-        s = 0.25 * (x1 * p1 + x2 * p2 + x3 * p3)
-        b1 = p1 - 0.5 * (x2 * p3 - x3 * p2) + s * x1
-        b2 = p2 - 0.5 * (x3 * p1 - x1 * p3) + s * x2
-        b3 = p3 - 0.5 * (x1 * p2 - x2 * p1) + s * x3
-        for _ in range(max_iter):
-            q1, q2, q3 = i1 * w1, i2 * w2, i3 * w3
+            # b = (I - hat(h w)/2 + (h w)(h w)^T/4) Pi at the previous rate
             x1, x2, x3 = h * w1, h * w2, h * w3
-            s = 0.25 * (x1 * q1 + x2 * q2 + x3 * q3)
-            n1 = (b1 - 0.5 * (x2 * q3 - x3 * q2) - s * x1) / i1
-            n2 = (b2 - 0.5 * (x3 * q1 - x1 * q3) - s * x2) / i2
-            n3 = (b3 - 0.5 * (x1 * q2 - x2 * q1) - s * x3) / i3
-            d1, d2, d3 = n1 - w1, n2 - w2, n3 - w3
-            w1, w2, w3 = n1, n2, n3
-            d_sq = d1 * d1 + d2 * d2 + d3 * d3
-            if d_sq < (tol * (1.0 + abs(w1) + abs(w2) + abs(w3))) ** 2:
-                break
-            if not d_sq < 1e16:  # bail out before float overflow
-                raise NoConvergence("momentum update diverged (h |omega| too large?)")
-        else:
-            raise NoConvergence(
-                f"momentum update stalled after {max_iter} iterations"
-            )
-        p1, p2, p3 = i1 * w1, i2 * w2, i3 * w3
-        Pi_hist[k + 1] = (p1, p2, p3)
-        # g <- g cay(h w / 2)
-        y1, y2, y3 = 0.5 * h * w1, 0.5 * h * w2, 0.5 * h * w3
-        sig = 2.0 / (1.0 + y1 * y1 + y2 * y2 + y3 * y3)
-        r = np.array(
-            [
-                [
-                    1.0 - sig * (y2 * y2 + y3 * y3),
-                    sig * (y1 * y2 - y3),
-                    sig * (y1 * y3 + y2),
-                ],
-                [
-                    sig * (y1 * y2 + y3),
-                    1.0 - sig * (y1 * y1 + y3 * y3),
-                    sig * (y2 * y3 - y1),
-                ],
-                [
-                    sig * (y1 * y3 - y2),
-                    sig * (y2 * y3 + y1),
-                    1.0 - sig * (y1 * y1 + y2 * y2),
-                ],
-            ]
-        )
+            s = 0.25 * (x1 * p1 + x2 * p2 + x3 * p3)
+            b1 = p1 - 0.5 * (x2 * p3 - x3 * p2) + s * x1
+            b2 = p2 - 0.5 * (x3 * p1 - x1 * p3) + s * x2
+            b3 = p3 - 0.5 * (x1 * p2 - x2 * p1) + s * x3
+            for _ in range(max_iter):
+                q1, q2, q3 = i1 * w1, i2 * w2, i3 * w3
+                x1, x2, x3 = h * w1, h * w2, h * w3
+                s = 0.25 * (x1 * q1 + x2 * q2 + x3 * q3)
+                n1 = (b1 - 0.5 * (x2 * q3 - x3 * q2) - s * x1) / i1
+                n2 = (b2 - 0.5 * (x3 * q1 - x1 * q3) - s * x2) / i2
+                n3 = (b3 - 0.5 * (x1 * q2 - x2 * q1) - s * x3) / i3
+                d1, d2, d3 = n1 - w1, n2 - w2, n3 - w3
+                w1, w2, w3 = n1, n2, n3
+                d_sq = d1 * d1 + d2 * d2 + d3 * d3
+                if d_sq < (tol * (1.0 + abs(w1) + abs(w2) + abs(w3))) ** 2:
+                    break
+                if not d_sq < 1e16:  # bail out before float overflow
+                    raise NoConvergence("momentum update diverged (h |omega| too large?)")
+            else:
+                raise NoConvergence(f"momentum update stalled after {max_iter} iterations")
+            p1, p2, p3 = i1 * w1, i2 * w2, i3 * w3
+            omega[k] = (w1, w2, w3)
+    else:
+        Pi = np.asarray(Pi0, dtype=float)
+        for k in range(n_steps):
+            omega[k] = _free_dlp_rate(inertia, h, Pi, method)
+            Pi = inertia * omega[k]
+    Pi_hist = np.empty((n_steps + 1, 3))
+    Pi_hist[0] = Pi0
+    Pi_hist[1:] = inertia * omega
+    g_hist = np.empty((n_steps + 1, 3, 3))
+    g_hist[0] = g0
+    g = g_hist[0]
+    for k, r in enumerate(liealg.retract(h * omega, method), 1):
         g = g @ r
-        if (k + 1) % reorth_every == 0:
+        if reorth_every and k % reorth_every == 0:
             g = liealg.orthonormalize(g)
-        g_hist[k + 1] = g
+        g_hist[k] = g
     return g_hist, Pi_hist
 
 
@@ -481,11 +462,12 @@ def extended_cost(w, ref, model, act, traj, method="cay", t0=0.0):
     exact first derivatives are the stationarity blocks of
     kkt_residuals_exact.
     """
-    out = kkt_residuals_exact(w, ref, model, act, traj, method, t0)
+    table = reference_table(ref, traj.grid, t0)
+    stacks = _knot_stacks(traj)
+    out = _kernel(model, act, traj.grid.h, *stacks, method)
+    cost = _interval_cost(w, traj.grid.h, *stacks, table)
     return float(
-        (traj._lam * out["phi123"]).sum()
-        + (traj._mu * out["phi4"]).sum()
-        - out["cost"].sum()
+        (traj._lam * out["phi123"]).sum() + (traj._mu * out["phi4"]).sum() - cost.sum()
     )
 
 

@@ -447,6 +447,24 @@ def test_integrate_necessary_reorthonormalizes():
     )
 
 
+def test_integrate_necessary_raises_non_finite_on_divergence():
+    # thrust costates near the float limit overflow the momentum in a step
+    w = ocp.CostWeights(c1=0.01, c2=1.0, c3=1.0, c4=0.1)
+    model, act = plant.InertiaModel(), plant.ActuationModel()
+    s0 = ocp.OCPState(
+        g=np.eye(3),
+        Pi=np.array([0.3, 0.1, 0.25]),
+        u=0.4,
+        u_dot=0.0,
+        p_Pi=np.array([1e160, 0.0, 0.0]),
+        p_xi=np.zeros(3),
+    )
+    with pytest.raises(plant.NonFinite, match=r"step \d+ \(t = "), np.errstate(
+        over="ignore", invalid="ignore"
+    ):
+        ocp.integrate_necessary(w, model, act, ocp.constant_reference(), s0, 1.0, 50)
+
+
 def test_shooting_from_reference_costates_reduces_attitude_error():
     # canonical stabilization run: start rolled over, shoot with the tabulated
     # initial costates, and watch the tracking error shrink

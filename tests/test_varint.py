@@ -255,19 +255,52 @@ def test_free_dlp_symmetric_inertia_casimir_vs_rk4():
     assert drift_rk4 > 1e3 * drift_dlp
 
 
-def test_free_dlp_run_matches_stepwise():
+@pytest.mark.parametrize("method", ["cay", "exp"])
+def test_free_dlp_run_matches_stepwise(method):
     inertia = np.array([0.034, 0.034, 0.056])
     h = 0.01
     g0 = la.exp_so3(np.array([0.1, 0.7, -0.3]))
     Pi0 = np.array([0.15, 0.05, 0.40])
-    g_fast, hist_fast = varint.free_dlp_run(inertia, g0, Pi0, h, 300, reorth_every=10**9)
+    g_fast, hist_fast = varint.free_dlp_run(
+        inertia, g0, Pi0, h, 300, method, reorth_every=10**9
+    )
     g, Pi = g0.copy(), Pi0.copy()
     hist = [Pi0]
     for _ in range(300):
-        g, Pi = varint.free_dlp_step(inertia, h, g, Pi)
+        g, Pi = varint.free_dlp_step(inertia, h, g, Pi, method)
         hist.append(Pi)
     np.testing.assert_allclose(hist_fast, np.asarray(hist), rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(g_fast, g, atol=1e-13)
+
+
+def _attitudes(integrator, reorth_every):
+    # 30 steps of one attitude integrator from a tilted, tumbling start
+    model, act = plant.InertiaModel(), plant.ActuationModel()
+    g0, Pi0 = la.exp_so3(np.array([0.1, 0.7, -0.3])), np.array([0.05, -0.02, 0.04])
+    if integrator == "plant.integrate":
+        coast = plant.ControlInput(u=0.4, u_dot=0.0, tau=np.zeros(4))
+        return plant.integrate(
+            model, act, plant.PlantState(g0, Pi0), lambda t: coast, 0.0, 0.01, 30, reorth_every
+        )[1]
+    if integrator == "ocp.integrate_necessary":
+        w = ocp.CostWeights(c1=0.01, c2=1.0, c3=0.0, c4=0.0)
+        s0 = ocp.OCPState(g=g0, Pi=Pi0, u=0.4, u_dot=0.0, p_Pi=np.zeros(3), p_xi=np.zeros(3))
+        return ocp.integrate_necessary(
+            w, model, act, ocp.constant_reference(), s0, 0.01, 30, reorth_every=reorth_every
+        ).g
+    inertia = plant.inertia_diag(model, 0.4)
+    return varint.free_dlp_run(inertia, g0, Pi0, 0.01, 30, reorth_every=reorth_every)[0]
+
+
+@pytest.mark.parametrize(
+    "integrator", ["plant.integrate", "ocp.integrate_necessary", "varint.free_dlp_run"]
+)
+def test_reorth_every_zero_means_never(integrator):
+    # 0 switches re-orthonormalization off: the run equals one whose cadence
+    # is never reached, while a cadence that is reached changes the attitude
+    never = _attitudes(integrator, 10**9)
+    np.testing.assert_array_equal(_attitudes(integrator, 0), never)
+    assert not np.array_equal(_attitudes(integrator, 10), never)
 
 
 @pytest.mark.parametrize("method", ["cay", "exp"])
